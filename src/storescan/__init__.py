@@ -4,116 +4,22 @@ Works on disassembled (smali) app directories: parses a pragmatic subset of
 the format, builds the app-internal call graph, marks methods against three
 rule categories, and flags apps where one method reaches all three within a
 bounded call depth.
+
+The package root exports the documented entry points and the error types
+callers catch; everything else is imported from its submodule.
 """
 
-from .callgraph import (
-    CallGraph,
-    UnknownNodeError,
-    build_callgraph,
-    edge_list_text,
-    reachable_within,
-)
-from .detector import (
-    ConditionSet,
-    DetectionResult,
-    DetectorConfig,
-    Evidence,
-    Finding,
-    accumulate,
-    detect_app,
-)
-from .report import (
-    CorpusReport,
-    Totals,
-    emit_report,
-    load_report_schema,
-    report_to_dict,
-    scan_corpus,
-)
-from .rules import (
-    KeywordHit,
-    MarkSet,
-    PathSourceHit,
-    RuleFormatError,
-    RuleSet,
-    WriteSinkHit,
-    default_ruleset,
-    load_ruleset,
-    mark_function,
-    match_keyword,
-    ruleset_digest,
-)
-from .smali_ir import (
-    AppModel,
-    ClassDef,
-    DuplicateClassError,
-    DuplicateMethodError,
-    Instruction,
-    Invoke,
-    MalformedDirectiveError,
-    MethodDef,
-    MethodKey,
-    MethodRef,
-    NewInstance,
-    Opaque,
-    SmaliParseError,
-    StringConst,
-    UnterminatedMethodError,
-    method_key_str,
-    parse_app_dir,
-    parse_class,
-    render_class,
-)
-
-__version__ = "0.1.0"
+from .callgraph import UnknownNodeError
+from .detector import DetectorConfig, detect_app
+from .rules import RuleFormatError
+from .smali_ir import DuplicateClassError, SmaliParseError, parse_app_dir
 
 __all__ = [
-    "AppModel",
-    "CallGraph",
-    "ClassDef",
-    "ConditionSet",
-    "CorpusReport",
-    "DetectionResult",
     "DetectorConfig",
     "DuplicateClassError",
-    "DuplicateMethodError",
-    "Evidence",
-    "Finding",
-    "Instruction",
-    "Invoke",
-    "KeywordHit",
-    "MalformedDirectiveError",
-    "MarkSet",
-    "MethodDef",
-    "MethodKey",
-    "MethodRef",
-    "NewInstance",
-    "Opaque",
-    "PathSourceHit",
     "RuleFormatError",
-    "RuleSet",
     "SmaliParseError",
-    "StringConst",
-    "Totals",
     "UnknownNodeError",
-    "UnterminatedMethodError",
-    "WriteSinkHit",
-    "accumulate",
-    "build_callgraph",
-    "default_ruleset",
     "detect_app",
-    "edge_list_text",
-    "emit_report",
-    "load_report_schema",
-    "load_ruleset",
-    "mark_function",
-    "match_keyword",
-    "method_key_str",
     "parse_app_dir",
-    "parse_class",
-    "reachable_within",
-    "render_class",
-    "report_to_dict",
-    "ruleset_digest",
-    "scan_corpus",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from .smali_ir import AppModel, Invoke, MethodKey, MethodRef, method_key_str
@@ -13,11 +14,15 @@ class UnknownNodeError(Exception):
 
 @dataclass
 class CallGraph:
-    nodes: set[MethodKey] = field(default_factory=set)
     #: caller -> callees in first-occurrence source order, duplicates removed.
+    #: Every app-defined method is a key, callees or not.
     edges: dict[MethodKey, list[MethodKey]] = field(default_factory=dict)
     #: caller -> invoke targets not defined in the app, same ordering rule.
     externals: dict[MethodKey, list[MethodRef]] = field(default_factory=dict)
+
+    @property
+    def nodes(self) -> KeysView[MethodKey]:
+        return self.edges.keys()
 
 
 def build_callgraph(app: AppModel) -> CallGraph:
@@ -26,12 +31,10 @@ def build_callgraph(app: AppModel) -> CallGraph:
     Targets with no exact match are recorded per caller in ``externals``;
     no class-hierarchy or virtual-dispatch resolution is attempted.
     """
-    nodes: set[MethodKey] = set()
     edges: dict[MethodKey, list[MethodKey]] = {}
     externals: dict[MethodKey, list[MethodRef]] = {}
     for cls in app.classes:
         for m in cls.methods:
-            nodes.add(m.key)
             edges[m.key] = []
             externals[m.key] = []
 
@@ -44,19 +47,19 @@ def build_callgraph(app: AppModel) -> CallGraph:
                     continue
                 t = ins.target
                 tk = (t.class_descriptor, t.name, t.proto)
-                if tk in nodes:
+                if tk in edges:
                     if tk not in seen_edges:
                         edges[m.key].append(tk)
                         seen_edges.add(tk)
                 elif t not in seen_externals:
                     externals[m.key].append(t)
                     seen_externals.add(t)
-    return CallGraph(nodes, edges, externals)
+    return CallGraph(edges, externals)
 
 
 def distances_within(g: CallGraph, seed: MethodKey, k: int) -> dict[MethodKey, int]:
     """Shortest call distance from ``seed`` for every node within ``k`` edges."""
-    if seed not in g.nodes:
+    if seed not in g.edges:
         raise UnknownNodeError(f"unknown method {method_key_str(seed)}")
     if k < 0:
         raise ValueError("hop bound must be >= 0")
@@ -73,11 +76,6 @@ def distances_within(g: CallGraph, seed: MethodKey, k: int) -> dict[MethodKey, i
             break
         frontier = nxt
     return dist
-
-
-def reachable_within(g: CallGraph, seed: MethodKey, k: int) -> set[MethodKey]:
-    """Nodes reachable from ``seed`` via at most ``k`` call edges (seed included)."""
-    return set(distances_within(g, seed, k))
 
 
 def edge_list_text(g: CallGraph) -> str:

@@ -62,9 +62,12 @@ class Finding:
 @dataclass
 class DetectionResult:
     app_id: str
-    flagged: bool
     findings: list[Finding] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.findings)
 
 
 def accumulate(
@@ -155,4 +158,4 @@ def detect_app(app: AppModel, config: DetectorConfig) -> DetectionResult:
                 "write_sink": _witness_chain(g, rev, m.key, conditions.write_sink),
             }
             findings.append(Finding(m.key, conditions, chains))
-    return DetectionResult(app.app_id, bool(findings), findings)
+    return DetectionResult(app.app_id, findings)

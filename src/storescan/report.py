@@ -72,7 +72,7 @@ def scan_corpus(
         try:
             app, diagnostics = parse_app_dir(app_dir, app_id)
         except (DuplicateClassError, OSError) as exc:
-            results.append(DetectionResult(app_id, False, [], [f"app not scanned: {exc}"]))
+            results.append(DetectionResult(app_id, [], [f"app not scanned: {exc}"]))
             continue
         if graph_sink is not None:
             graph_sink.write(f"# callgraph {app_id}\n")

@@ -1,9 +1,9 @@
 """Parser and renderer for a pragmatic subset of the smali class-file format.
 
 Only the instruction families the detection rules consume are interpreted:
-``invoke-*``, ``const-string`` (including ``/jumbo``), and ``new-instance``.
-Every other body line is kept verbatim as an opaque instruction, so a parsed
-class can be rendered back without losing information.
+``invoke-*`` and ``const-string`` (including ``/jumbo``). Every other body
+line, ``new-instance`` included, is kept verbatim as an opaque instruction,
+so a parsed class can be rendered back without losing information.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class StringConst:
 
 
 @dataclass
-class NewInstance:
-    type_descriptor: str
-    source_line: int = field(default=0, compare=False)
-    raw_line: str | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
 class Opaque:
     """Any body line we do not interpret, kept byte-for-byte."""
 
@@ -90,7 +83,7 @@ class Opaque:
     source_line: int = field(default=0, compare=False)
 
 
-Instruction = Invoke | StringConst | NewInstance | Opaque
+Instruction = Invoke | StringConst | Opaque
 
 
 @dataclass
@@ -137,7 +130,6 @@ _INVOKE_RE = re.compile(
     r"\{[^}]*\}\s*,\s*(\S+?)->([^\s(]+)(\([^)]*\)\S+)$"
 )
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
-_NEW_INSTANCE_RE = re.compile(r"^new-instance\s+[vp]\d+\s*,\s*(L[^\s;]+;)$")
 _METHOD_SIG_RE = re.compile(r"^([^\s(]+)(\([^)]*\)\S+)$")
 
 _UNESCAPE_MAP = {
@@ -212,10 +204,6 @@ def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
         m = _CONST_STRING_RE.match(stripped)
         if m:
             return StringConst(_unescape_string(m.group(1)), lineno, raw)
-    elif stripped.startswith("new-instance"):
-        m = _NEW_INSTANCE_RE.match(stripped)
-        if m:
-            return NewInstance(m.group(1), lineno, raw)
     return Opaque(raw, lineno)
 
 
@@ -332,7 +320,7 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     for path in paths:
         rel = path.relative_to(root).as_posix()
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: unreadable: {exc}")
             continue
@@ -358,9 +346,7 @@ def _render_instruction(ins: Instruction) -> str:
     if isinstance(ins, Invoke):
         t = ins.target
         return f"    invoke-{ins.kind} {{}}, {t.class_descriptor}->{t.name}{t.proto}"
-    if isinstance(ins, StringConst):
-        return f'    const-string v0, "{_escape_string(ins.value)}"'
-    return f"    new-instance v0, {ins.type_descriptor}"
+    return f'    const-string v0, "{_escape_string(ins.value)}"'
 
 
 def render_class(cls: ClassDef) -> str:

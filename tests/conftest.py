@@ -1,8 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from storescan.report import load_report_schema  # noqa: F401  (shared by test modules)
 
 from appgen import class_text, const_string_line, method_text
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a ``python -m storescan`` child that imports this checkout."""
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
 
 
 VULN_CLASS = class_text(

@@ -17,7 +17,7 @@ from storescan.rules import default_ruleset, mark_function, match_keyword
 from storescan.smali_ir import parse_class, render_class
 
 from appgen import fixture_classes, planted_corpus, random_instance, write_corpus
-from conftest import load_report_schema
+from conftest import cli_env, load_report_schema
 from oracle import flagged_oracle
 
 
@@ -136,7 +136,10 @@ def test_parser_roundtrip_and_seed_isolation():
 def test_cli_contract(three_app_corpus, tmp_path):
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "storescan", *args], capture_output=True, text=True
+            [sys.executable, "-m", "storescan", *args],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
         )
 
     ok = True

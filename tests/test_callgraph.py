@@ -7,7 +7,6 @@ from storescan.callgraph import (
     build_callgraph,
     distances_within,
     edge_list_text,
-    reachable_within,
 )
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef
 
@@ -27,6 +26,11 @@ def app_from_adjacency(adjacency: dict[str, list[str]]) -> AppModel:
 
 def key(name: str) -> tuple[str, str, str]:
     return ("Lg/G;", name, "()V")
+
+
+def reachable(g, seed, k):
+    """Nodes within ``k`` call edges of ``seed``, the seed included."""
+    return set(distances_within(g, seed, k))
 
 
 class TestBuildCallgraph:
@@ -98,27 +102,27 @@ class TestBuildCallgraph:
 class TestReachability:
     def test_zero_hops_is_seed_only(self):
         g = build_callgraph(app_from_adjacency({"f": ["g"], "g": []}))
-        assert reachable_within(g, key("f"), 0) == {key("f")}
+        assert reachable(g, key("f"), 0) == {key("f")}
 
     def test_chain_two_hops(self):
         # Brute-force check: f -> g -> h, two hops cover all three.
         g = build_callgraph(app_from_adjacency({"f": ["g"], "g": ["h"], "h": []}))
-        assert reachable_within(g, key("f"), 2) == {key("f"), key("g"), key("h")}
-        assert reachable_within(g, key("f"), 1) == {key("f"), key("g")}
+        assert reachable(g, key("f"), 2) == {key("f"), key("g"), key("h")}
+        assert reachable(g, key("f"), 1) == {key("f"), key("g")}
 
     def test_cycle_terminates(self):
         g = build_callgraph(app_from_adjacency({"f": ["g"], "g": ["f"]}))
-        assert reachable_within(g, key("f"), 5) == {key("f"), key("g")}
+        assert reachable(g, key("f"), 5) == {key("f"), key("g")}
 
     def test_unknown_seed(self):
         g = build_callgraph(app_from_adjacency({"f": []}))
         with pytest.raises(UnknownNodeError):
-            reachable_within(g, key("nope"), 1)
+            reachable(g, key("nope"), 1)
 
     def test_negative_bound_rejected(self):
         g = build_callgraph(app_from_adjacency({"f": []}))
         with pytest.raises(ValueError):
-            reachable_within(g, key("f"), -1)
+            reachable(g, key("f"), -1)
 
     def test_distances_are_shortest(self):
         g = build_callgraph(
@@ -141,7 +145,7 @@ class TestReachability:
             seed = rng.choice(names)
             for k in range(6):
                 expected = {key(x) for x in reachable_oracle(adjacency, seed, k)}
-                assert reachable_within(g, key(seed), k) == expected
+                assert reachable(g, key(seed), k) == expected
 
     def test_monotone_and_fixpoint_in_k(self):
         rng = random.Random(3)
@@ -153,10 +157,10 @@ class TestReachability:
             }
             g = build_callgraph(app_from_adjacency(adjacency))
             seed = key(rng.choice(names))
-            prev = reachable_within(g, seed, 0)
+            prev = reachable(g, seed, 0)
             fixed_at = None
             for k in range(1, n + 3):
-                cur = reachable_within(g, seed, k)
+                cur = reachable(g, seed, k)
                 assert prev <= cur
                 if cur == prev and fixed_at is None:
                     fixed_at = k

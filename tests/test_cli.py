@@ -4,7 +4,7 @@ import sys
 
 import jsonschema
 
-from conftest import load_report_schema
+from conftest import cli_env, load_report_schema
 
 
 def run_cli(*args, **kwargs):
@@ -12,6 +12,7 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "storescan", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
         **kwargs,
     )
 

@@ -11,7 +11,6 @@ from storescan.smali_ir import (
     MalformedDirectiveError,
     MethodDef,
     MethodRef,
-    NewInstance,
     Opaque,
     StringConst,
     UnterminatedMethodError,
@@ -87,7 +86,7 @@ class TestParseClass:
             methods=[method_text("f", body=["    new-instance v0, Ljava/io/File;"])],
         )
         (m,) = parse_class(text).methods
-        assert m.body == [NewInstance("Ljava/io/File;")]
+        assert m.body == [Opaque("    new-instance v0, Ljava/io/File;")]
 
     def test_invoke_kinds_and_range(self):
         body = [
@@ -116,8 +115,8 @@ class TestParseClass:
         assert [ins.raw_line for ins in m.body] == body
 
     def test_interpretation_completeness_on_fixtures(self):
-        # Every invoke-*/const-string/new-instance body line in a fixture is
-        # interpreted; every other body line stays opaque.
+        # Every invoke-*/const-string body line in a fixture is interpreted;
+        # every other body line, new-instance included, stays opaque.
         for fixture in fixture_classes():
             cls = parse_class(fixture.text)
             invokes = strings = news = 0
@@ -127,7 +126,9 @@ class TestParseClass:
                         invokes += 1
                     elif isinstance(ins, StringConst):
                         strings += 1
-                    elif isinstance(ins, NewInstance):
+                    elif isinstance(ins, Opaque) and ins.raw_line.lstrip().startswith(
+                        "new-instance"
+                    ):
                         news += 1
             assert (invokes, strings, news) == (
                 fixture.invokes,
@@ -243,7 +244,7 @@ class TestRenderRoundTrip:
                     [
                         Invoke("static", MethodRef("Lsyn/B;", "g", "()V")),
                         StringConst("hello.world"),
-                        NewInstance("Lsyn/C;"),
+                        Opaque("    new-instance v0, Lsyn/C;"),
                         Opaque("    nop"),
                     ],
                 )
@@ -278,13 +279,55 @@ class TestParseAppDir:
         assert [c.source_file for c in app.classes] == ["A.smali", "b/B.smali"]
         assert diags == []
 
-    def test_malformed_file_becomes_diagnostic(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b".class Lx/B;\n.method broken()V\n", "line 2: .method broken()V has no matching"),
+            (b"", "line 1: no .class directive found"),
+            (b".class Lx/B;\n\xff\xfe\n", "unreadable: 'utf-8' codec can't decode"),
+            (None, "unreadable: [Errno 21] Is a directory"),
+        ],
+        ids=["unterminated-method", "empty", "non-utf8", "directory"],
+    )
+    def test_malformed_file_becomes_diagnostic(self, tmp_path, content, message):
+        # One bad file costs exactly one diagnostic; its good sibling still parses.
         (tmp_path / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
-        (tmp_path / "B.smali").write_text(".class Lx/B;\n.method broken()V\n", encoding="utf-8")
+        bad = tmp_path / "B.smali"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
         app, diags = parse_app_dir(tmp_path, "mixed")
         assert [c.descriptor for c in app.classes] == ["Lx/A;"]
         assert len(diags) == 1
-        assert "B.smali" in diags[0]
+        assert diags[0].startswith(f"B.smali: {message}")
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        text = class_text("Lx/A;", methods=[method_text("f", body=["    nop"])])
+        (tmp_path / "A.smali").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        app, diags = parse_app_dir(tmp_path, "bom")
+        assert diags == []
+        assert app.classes == [parse_class(text, source_file="A.smali")]
+
+    def test_crlf_matches_lf_twin(self, tmp_path):
+        text = class_text(
+            "Lx/A;",
+            methods=[method_text("f", body=['    const-string v0, "/sdcard/log"', "    nop"])],
+            metadata=[".field private x:I"],
+        )
+        apps = {}
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "A.smali").write_bytes(text.replace("\n", newline).encode("utf-8"))
+            app, diags = parse_app_dir(tmp_path / name, "app")
+            assert diags == []
+            apps[name] = app
+        assert apps["crlf"] == apps["lf"]
+
+        def source_lines(app):
+            return [ins.source_line for c in app.classes for m in c.methods for ins in m.body]
+
+        assert source_lines(apps["crlf"]) == source_lines(apps["lf"])
 
     def test_non_smali_files_ignored(self, tmp_path):
         (tmp_path / "README.txt").write_text("not smali", encoding="utf-8")
