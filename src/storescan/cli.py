@@ -12,8 +12,29 @@ from .report import emit_report, scan_corpus
 from .rules import RuleFormatError, default_ruleset, load_ruleset
 
 
+def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if not value or ctx.resilient_parsing:
+        return
+    # Imported here, not at module level, so that every other command starts faster.
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        installed = version("storescan")
+    except PackageNotFoundError:
+        installed = "unknown (not installed)"
+    click.echo(f"storescan, version {installed}")
+    ctx.exit()
+
+
 @click.group()
-@click.version_option(package_name="storescan")
+@click.option(
+    "--version",
+    is_flag=True,
+    expose_value=False,
+    is_eager=True,
+    callback=_print_version,
+    help="Show the version and exit.",
+)
 def main():
     """Scan disassembled Android apps for app-private writes to shared storage."""
 
@@ -23,7 +44,13 @@ def main():
     "corpus_root",
     type=click.Path(exists=True, file_okay=False, path_type=Path),
 )
-@click.option("--depth", default=3, show_default=True, help="Call-chain depth bound.")
+@click.option(
+    "--depth",
+    type=click.IntRange(min=1),
+    default=3,
+    show_default=True,
+    help="Call-chain depth bound.",
+)
 @click.option(
     "--rules",
     "rules_file",
@@ -55,8 +82,6 @@ def main():
 )
 def scan(corpus_root, depth, rules_file, fmt, output, fail_on_detect, dump_callgraph):
     """Scan CORPUS_ROOT, one app per immediate subdirectory."""
-    if depth < 1:
-        raise click.BadParameter("must be >= 1", param_hint="'--depth'")
     try:
         rules = load_ruleset(rules_file) if rules_file else default_ruleset()
     except (RuleFormatError, OSError) as exc:

@@ -3,6 +3,8 @@
 Every method is tried as a seed. A seed flags the app when the union of
 rule marks over everything it can reach within ``depth - 1`` call edges
 covers all three criterion categories (keyword, path source, write sink).
+Each finding also names, per category, a witness chain: the lexically
+smallest shortest call chain from the seed to the closest evidence method.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class ConditionSet:
 class Finding:
     seed: MethodKey
     conditions: ConditionSet
-    #: category -> shortest call chain from the seed to an evidence method.
+    #: category -> witness chain (see the module docstring).
     witness_chains: dict[str, list[MethodKey]]
 
 
@@ -81,8 +83,6 @@ def accumulate(
     The result is fresh per seed; evidence is ordered by (distance, method)
     and then by source order within a method.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     dist = distances_within(g, seed, depth - 1)
     conditions = ConditionSet()
     for node in sorted(dist, key=lambda n: (dist[n], n)):
@@ -94,42 +94,28 @@ def accumulate(
     return conditions
 
 
-def _reverse_adjacency(g: CallGraph) -> dict[MethodKey, list[MethodKey]]:
-    rev: dict[MethodKey, list[MethodKey]] = {n: [] for n in g.nodes}
-    for caller, callees in g.edges.items():
-        for callee in callees:
-            rev[callee].append(caller)
-    return rev
-
-
-def _witness_chain(
-    g: CallGraph,
-    rev: dict[MethodKey, list[MethodKey]],
-    seed: MethodKey,
-    evidence: list[Evidence],
-) -> list[MethodKey]:
-    # Chain to the closest evidence method; ties and path choices both break
-    # lexically so output is deterministic.
-    best = min(evidence, key=lambda e: (e.distance, e.method))
-    target, d = best.method, best.distance
-    if d == 0:
-        return [seed]
-    rdist = {target: 0}
-    frontier = [target]
-    for hop in range(1, d + 1):
+def _witness_chains(
+    g: CallGraph, seed: MethodKey, conditions: ConditionSet
+) -> dict[str, list[MethodKey]]:
+    # Each category's first evidence row is its closest method, ties broken
+    # lexically. Callees are expanded in sorted order, so the first path to
+    # reach a node is the lexically smallest of its shortest paths.
+    targets = {
+        "keyword": conditions.keyword[0],
+        "path_source": conditions.path_source[0],
+        "write_sink": conditions.write_sink[0],
+    }
+    paths = {seed: [seed]}
+    frontier = [seed]
+    for _ in range(max(e.distance for e in targets.values())):
         nxt = []
         for node in frontier:
-            for caller in rev[node]:
-                if caller not in rdist:
-                    rdist[caller] = hop
-                    nxt.append(caller)
+            for callee in sorted(g.edges[node]):
+                if callee not in paths:
+                    paths[callee] = paths[node] + [callee]
+                    nxt.append(callee)
         frontier = nxt
-    chain = [seed]
-    cur = seed
-    for remaining in range(d - 1, -1, -1):
-        cur = min(n for n in g.edges[cur] if rdist.get(n) == remaining)
-        chain.append(cur)
-    return chain
+    return {category: paths[e.method] for category, e in targets.items()}
 
 
 def detect_app(app: AppModel, config: DetectorConfig) -> DetectionResult:
@@ -140,22 +126,10 @@ def detect_app(app: AppModel, config: DetectorConfig) -> DetectionResult:
     order, so identical inputs always serialize identically.
     """
     g = build_callgraph(app)
-    marks: dict[MethodKey, MarkSet] = {}
-    for cls in app.classes:
-        for m in cls.methods:
-            marks[m.key] = mark_function(m, config.rules)
-
-    rev = _reverse_adjacency(g)
+    marks = {m.key: mark_function(m, config.rules) for cls in app.classes for m in cls.methods}
     findings: list[Finding] = []
-    for cls in app.classes:
-        for m in cls.methods:
-            conditions = accumulate(m.key, g, marks, config.depth)
-            if not conditions.satisfied():
-                continue
-            chains = {
-                "keyword": _witness_chain(g, rev, m.key, conditions.keyword),
-                "path_source": _witness_chain(g, rev, m.key, conditions.path_source),
-                "write_sink": _witness_chain(g, rev, m.key, conditions.write_sink),
-            }
-            findings.append(Finding(m.key, conditions, chains))
+    for seed in g.edges:
+        conditions = accumulate(seed, g, marks, config.depth)
+        if conditions.satisfied():
+            findings.append(Finding(seed, conditions, _witness_chains(g, seed, conditions)))
     return DetectionResult(app.app_id, findings)

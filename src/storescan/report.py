@@ -31,21 +31,16 @@ class Totals(NamedTuple):
 
 @dataclass
 class CorpusReport:
-    schema_version: str
-    depth: int
-    rules_digest: str
+    config: DetectorConfig
     apps: list[DetectionResult]
-    totals: Totals
 
-    @classmethod
-    def from_results(cls, results: list[DetectionResult], config: DetectorConfig) -> CorpusReport:
-        apps = sorted(results, key=lambda r: r.app_id)
-        totals = Totals(
-            apps_scanned=len(apps),
-            apps_flagged=sum(1 for r in apps if r.flagged),
-            parse_diagnostics=sum(len(r.diagnostics) for r in apps),
+    @property
+    def totals(self) -> Totals:
+        return Totals(
+            apps_scanned=len(self.apps),
+            apps_flagged=sum(1 for r in self.apps if r.flagged),
+            parse_diagnostics=sum(len(r.diagnostics) for r in self.apps),
         )
-        return cls(SCHEMA_VERSION, config.depth, ruleset_digest(config.rules), apps, totals)
 
 
 def scan_corpus(
@@ -80,7 +75,7 @@ def scan_corpus(
         result = detect_app(app, config)
         result.diagnostics = diagnostics
         results.append(result)
-    return CorpusReport.from_results(results, config)
+    return CorpusReport(config, results)
 
 
 def _category_rows(evidence: list[Evidence]) -> list[dict]:
@@ -118,13 +113,12 @@ def _finding_dict(f: Finding) -> dict:
 
 def report_to_dict(report: CorpusReport) -> dict:
     return {
-        "schema_version": report.schema_version,
-        "config": {"depth": report.depth, "rules_digest": report.rules_digest},
-        "totals": {
-            "apps_scanned": report.totals.apps_scanned,
-            "apps_flagged": report.totals.apps_flagged,
-            "parse_diagnostics": report.totals.parse_diagnostics,
+        "schema_version": SCHEMA_VERSION,
+        "config": {
+            "depth": report.config.depth,
+            "rules_digest": ruleset_digest(report.config.rules),
         },
+        "totals": report.totals._asdict(),
         "apps": [
             {
                 "app_id": r.app_id,

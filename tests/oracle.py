@@ -51,3 +51,15 @@ def satisfying_seeds_oracle(
         if reach & kw_nodes and reach & path_nodes and reach & sink_nodes:
             seeds.add(seed)
     return seeds
+
+
+def witness_chain_oracle(adjacency: dict, seed, marked: set, depth: int) -> list | None:
+    """The lexically smallest shortest path from seed to the closest marked
+    node within depth-1 edges, closeness tied on node order; None if none."""
+    g = _digraph(adjacency)
+    dist = nx.single_source_shortest_path_length(g, seed, cutoff=depth - 1)
+    reached = [n for n in dist if n in marked]
+    if not reached:
+        return None
+    target = min(reached, key=lambda n: (dist[n], n))
+    return min(nx.all_shortest_paths(g, seed, target))

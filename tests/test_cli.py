@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -135,3 +136,9 @@ class TestOutputs:
     def test_help_exits_zero(self):
         assert run_cli("scan", "--help").returncode == 0
         assert run_cli("--help").returncode == 0
+
+    def test_version_exits_zero(self):
+        # Works from a source checkout too, where no package metadata exists.
+        proc = run_cli("--version")
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(r"storescan, version (\S+|unknown \(not installed\))\n", proc.stdout)

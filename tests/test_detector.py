@@ -9,7 +9,7 @@ from storescan.rules import default_ruleset, mark_function
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
 
 from appgen import random_instance
-from oracle import flagged_oracle, satisfying_seeds_oracle
+from oracle import flagged_oracle, satisfying_seeds_oracle, witness_chain_oracle
 
 OWNER = "Ld/D;"
 
@@ -176,6 +176,31 @@ class TestDetectApp:
                     }[category]
                     assert hits
 
+    def test_witness_chains_match_oracle(self):
+        # Random graphs have cycles and self-loops; node keys do not sort in
+        # index order, so ties exercise the lexical choice of target and path.
+        rng = random.Random(41)
+        compared = multi_hop = 0
+        for _ in range(60):
+            inst = random_instance(rng)
+            keys = [m.key for c in inst.app.classes for m in c.methods]
+            by_name = {k[1]: k for k in keys}
+            node = [by_name[f"m{i}"] for i in range(len(keys))]
+            adjacency = {node[a]: [node[b] for b in bs] for a, bs in inst.adjacency.items()}
+            marked = {
+                "keyword": {node[i] for i in inst.kw_nodes},
+                "path_source": {node[i] for i in inst.path_nodes},
+                "write_sink": {node[i] for i in inst.sink_nodes},
+            }
+            for depth in range(1, 7):
+                for finding in detect_app(inst.app, DetectorConfig(depth=depth)).findings:
+                    for category, chain in finding.witness_chains.items():
+                        want = witness_chain_oracle(adjacency, finding.seed, marked[category], depth)
+                        assert chain == want
+                        compared += 1
+                        multi_hop += len(chain) > 2
+        assert compared > 1000 and multi_hop > 100
+
     def test_seed_order_permutation_never_changes_verdicts(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -231,9 +256,9 @@ class TestDetectApp:
 
     def test_serialization_deterministic(self):
         result = detect_app(CHAIN_APP, DetectorConfig(depth=3))
-        report = CorpusReport.from_results([result], DetectorConfig(depth=3))
+        report = CorpusReport(DetectorConfig(depth=3), [result])
         again = detect_app(CHAIN_APP, DetectorConfig(depth=3))
-        report2 = CorpusReport.from_results([again], DetectorConfig(depth=3))
+        report2 = CorpusReport(DetectorConfig(depth=3), [again])
         assert emit_report(report, "json") == emit_report(report2, "json")
 
     def test_config_rejects_bad_depth(self):

@@ -8,7 +8,29 @@ from storescan.detector import DetectorConfig
 from storescan.report import CorpusReport, emit_report, report_to_dict, scan_corpus
 from storescan.rules import default_ruleset, ruleset_digest
 
+from appgen import class_text, const_string_line, invoke_line, method_text
 from conftest import CLEAN_CLASS, load_report_schema
+
+
+GOLDEN_TEXT = """\
+scanned=4 flagged=2
+app app_bad: 1 finding(s)
+  seed Lfx/Vuln;->run()V
+    keyword: "/sdcard/user_log" (keyword log) in Lfx/Vuln;->run()V line 6 distance 0
+    path_source: /sdcard/user_log in Lfx/Vuln;->run()V line 6 distance 0
+    write_sink: Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V in Lfx/Vuln;->run()V line 8 distance 0
+    chain keyword: Lfx/Vuln;->run()V
+    chain path_source: Lfx/Vuln;->run()V
+    chain write_sink: Lfx/Vuln;->run()V
+app app_chain: 1 finding(s)
+  seed Lch/Main;->run()V
+    keyword: "/user_log" (keyword log) in Lch/Help;->step1()V line 5 distance 1
+    path_source: getExternalStorageDirectory in Lch/Main;->run()V line 5 distance 0
+    write_sink: Ljava/io/File;->mkdir()Z in Lch/Help;->step2()V line 14 distance 2
+    chain keyword: Lch/Main;->run()V -> Lch/Help;->step1()V
+    chain path_source: Lch/Main;->run()V
+    chain write_sink: Lch/Main;->run()V -> Lch/Help;->alt()V -> Lch/Help;->step2()V
+"""
 
 
 def scan(root, depth=3, **kwargs):
@@ -79,7 +101,7 @@ class TestScanCorpus:
 
 class TestEmitReport:
     def test_empty_report_json(self):
-        report = CorpusReport.from_results([], DetectorConfig())
+        report = CorpusReport(DetectorConfig(), [])
         payload = json.loads(emit_report(report, "json"))
         assert payload["totals"] == {
             "apps_scanned": 0,
@@ -98,6 +120,36 @@ class TestEmitReport:
         assert any(line.lstrip().startswith("seed ") for line in lines)
         assert any("line" in line for line in lines if "keyword" in line)
 
+    def test_text_report_golden(self, three_app_corpus):
+        # Main.run reaches step2 through step1 and through alt; the witness
+        # chain takes the lexically smaller alt although step1 is called first.
+        main = class_text(
+            "Lch/Main;",
+            methods=[
+                method_text(
+                    "run",
+                    body=[
+                        "    invoke-static {}, Landroid/os/Environment;->getExternalStorageDirectory()Ljava/io/File;",
+                        invoke_line("static", "Lch/Help;", "step1", "()V"),
+                        invoke_line("static", "Lch/Help;", "alt", "()V"),
+                    ],
+                )
+            ],
+        )
+        step2 = invoke_line("static", "Lch/Help;", "step2", "()V")
+        help_cls = class_text(
+            "Lch/Help;",
+            methods=[
+                method_text("step1", body=[const_string_line("/user_log"), step2]),
+                method_text("alt", body=[step2]),
+                method_text("step2", body=["    invoke-virtual {v2}, Ljava/io/File;->mkdir()Z"]),
+            ],
+        )
+        (three_app_corpus / "app_chain").mkdir()
+        (three_app_corpus / "app_chain" / "Main.smali").write_text(main, encoding="utf-8")
+        (three_app_corpus / "app_chain" / "Help.smali").write_text(help_cls, encoding="utf-8")
+        assert emit_report(scan(three_app_corpus), "text") == GOLDEN_TEXT
+
     def test_emit_twice_byte_identical(self, three_app_corpus):
         report = scan(three_app_corpus)
         for fmt in ("json", "text"):
@@ -109,7 +161,7 @@ class TestEmitReport:
         assert a == b
 
     def test_unknown_format_rejected(self):
-        report = CorpusReport.from_results([], DetectorConfig())
+        report = CorpusReport(DetectorConfig(), [])
         with pytest.raises(ValueError):
             emit_report(report, "xml")
 

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from storescan.detector import DetectorConfig
+from storescan.report import scan_corpus
 from storescan.smali_ir import (
     AppModel,
     ClassDef,
@@ -343,6 +347,38 @@ class TestParseAppDir:
     def test_missing_root(self, tmp_path):
         with pytest.raises(OSError):
             parse_app_dir(tmp_path / "nope", "gone")
+
+    def test_directory_symlink_loop_not_followed(self, tmp_path):
+        (tmp_path / "smali").mkdir()
+        (tmp_path / "smali" / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        (tmp_path / "smali" / "loop").symlink_to(tmp_path, target_is_directory=True)
+        app, diags = parse_app_dir(tmp_path, "loop")
+        assert [c.source_file for c in app.classes] == ["smali/A.smali"]
+        assert diags == []
+
+    def test_megabyte_const_string_kept_intact(self, tmp_path):
+        value = "/sdcard/" + "x" * (1 << 20)
+        text = class_text("Lx/A;", methods=[method_text("f", body=[f'    const-string v0, "{value}"'])])
+        (tmp_path / "A.smali").write_text(text, encoding="utf-8")
+        app, diags = parse_app_dir(tmp_path, "big")
+        assert diags == []
+        (string,) = app.classes[0].methods[0].body
+        assert string == StringConst(value)
+
+    def test_class_in_two_dex_directories_fails_whole_app(self, tmp_path):
+        # A class in both the primary and a secondary dex directory is
+        # ambiguous, so the app is not scanned rather than guessed at.
+        app_dir = tmp_path / "corpus" / "multidex"
+        for dex in ("smali", "smali_classes2"):
+            (app_dir / dex).mkdir(parents=True)
+            (app_dir / dex / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        (app_dir / "smali" / "B.smali").write_text(class_text("Lx/B;"), encoding="utf-8")
+        message = "class Lx/A; declared in both smali/A.smali and smali_classes2/A.smali"
+        with pytest.raises(DuplicateClassError, match=re.escape(message)):
+            parse_app_dir(app_dir, "multidex")
+        (row,) = scan_corpus(tmp_path / "corpus", DetectorConfig()).apps
+        assert row.findings == []
+        assert row.diagnostics == [f"app not scanned: {message}"]
 
     def test_deterministic_across_runs(self, tmp_path):
         for i in range(4):
