@@ -2,7 +2,7 @@
 
 Every method is tried as a seed. A seed flags the app when the union of
 rule marks over everything it can reach within ``depth - 1`` call edges
-covers all three criterion categories (keyword, path source, write sink).
+covers all three criterion categories, the fields of ``ConditionSet``.
 Each finding also names, per category, a witness chain: the lexically
 smallest shortest call chain from the seed to the closest evidence method.
 """
@@ -41,16 +41,16 @@ class Evidence(NamedTuple):
     distance: int  # call distance from the seed
 
 
-@dataclass
-class ConditionSet:
-    """Criterion evidence accumulated for one seed."""
+class ConditionSet(NamedTuple):
+    """Criterion evidence for one seed, one list per category. The fields are
+    the category names in report order; nothing else in the package lists them."""
 
-    keyword: list[Evidence] = field(default_factory=list)
-    path_source: list[Evidence] = field(default_factory=list)
-    write_sink: list[Evidence] = field(default_factory=list)
+    keyword: list[Evidence]
+    path_source: list[Evidence]
+    write_sink: list[Evidence]
 
     def satisfied(self) -> bool:
-        return bool(self.keyword and self.path_source and self.write_sink)
+        return all(self)
 
 
 @dataclass
@@ -84,14 +84,11 @@ def accumulate(
     and then by source order within a method.
     """
     dist = distances_within(g, seed, depth - 1)
-    conditions = ConditionSet()
-    for node in sorted(dist, key=lambda n: (dist[n], n)):
-        ms = marks[node]
-        d = dist[node]
-        conditions.keyword.extend(Evidence(node, h, d) for h in ms.keyword_hits)
-        conditions.path_source.extend(Evidence(node, h, d) for h in ms.path_source_hits)
-        conditions.write_sink.extend(Evidence(node, h, d) for h in ms.write_sink_hits)
-    return conditions
+    nodes = sorted(dist, key=lambda n: (dist[n], n))
+    return ConditionSet._make(
+        [Evidence(n, h, dist[n]) for n in nodes for h in marks[n][i]]
+        for i in range(len(ConditionSet._fields))
+    )
 
 
 def _witness_chains(
@@ -100,11 +97,7 @@ def _witness_chains(
     # Each category's first evidence row is its closest method, ties broken
     # lexically. Callees are expanded in sorted order, so the first path to
     # reach a node is the lexically smallest of its shortest paths.
-    targets = {
-        "keyword": conditions.keyword[0],
-        "path_source": conditions.path_source[0],
-        "write_sink": conditions.write_sink[0],
-    }
+    targets = {category: evidence[0] for category, evidence in conditions._asdict().items()}
     paths = {seed: [seed]}
     frontier = [seed]
     for _ in range(max(e.distance for e in targets.values())):
@@ -118,14 +111,17 @@ def _witness_chains(
     return {category: paths[e.method] for category, e in targets.items()}
 
 
-def detect_app(app: AppModel, config: DetectorConfig) -> DetectionResult:
+def detect_app(
+    app: AppModel, config: DetectorConfig, *, graph: CallGraph | None = None
+) -> DetectionResult:
     """Run detection over one app, collecting every satisfying seed.
 
     ``flagged`` is true iff at least one seed covers all three categories
     within the configured depth. Findings keep the app's class/method source
-    order, so identical inputs always serialize identically.
+    order, so identical inputs always serialize identically. ``graph`` is the
+    app's call graph when the caller has already built it.
     """
-    g = build_callgraph(app)
+    g = build_callgraph(app) if graph is None else graph
     marks = {m.key: mark_function(m, config.rules) for cls in app.classes for m in cls.methods}
     findings: list[Finding] = []
     for seed in g.edges:

@@ -69,10 +69,11 @@ def scan_corpus(
         except (DuplicateClassError, OSError) as exc:
             results.append(DetectionResult(app_id, [], [f"app not scanned: {exc}"]))
             continue
+        graph = None
         if graph_sink is not None:
-            graph_sink.write(f"# callgraph {app_id}\n")
-            graph_sink.write(edge_list_text(build_callgraph(app)))
-        result = detect_app(app, config)
+            graph = build_callgraph(app)
+            graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
+        result = detect_app(app, config, graph=graph)
         result.diagnostics = diagnostics
         results.append(result)
     return CorpusReport(config, results)
@@ -100,9 +101,8 @@ def _finding_dict(f: Finding) -> dict:
     return {
         "seed": method_key_str(f.seed),
         "categories": {
-            "keyword": _category_rows(f.conditions.keyword),
-            "path_source": _category_rows(f.conditions.path_source),
-            "write_sink": _category_rows(f.conditions.write_sink),
+            category: _category_rows(evidence)
+            for category, evidence in f.conditions._asdict().items()
         },
         "witness_chains": {
             category: [method_key_str(k) for k in chain]
@@ -147,11 +147,7 @@ def _text_report(report: CorpusReport) -> str:
         lines.append(f"app {r.app_id}: {len(r.findings)} finding(s)")
         for f in r.findings:
             lines.append(f"  seed {method_key_str(f.seed)}")
-            for category, evidence in (
-                ("keyword", f.conditions.keyword),
-                ("path_source", f.conditions.path_source),
-                ("write_sink", f.conditions.write_sink),
-            ):
+            for category, evidence in f.conditions._asdict().items():
                 for e in evidence:
                     lines.append(
                         f"    {category}: {_describe_hit(e)} in {method_key_str(e.method)}"

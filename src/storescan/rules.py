@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,6 +54,15 @@ class RuleFormatError(ValueError):
     """A ruleset file or ruleset value violates the format contract."""
 
 
+#: Ruleset file section -> ``RuleSet`` attribute, in file order.
+_SECTIONS = {
+    "keywords": "keywords",
+    "path_apis": "path_api_names",
+    "hardcoded_paths": "hardcoded_path_prefixes",
+    "write_sinks": "write_sinks",
+}
+
+
 @dataclass
 class RuleSet:
     """The three criterion vocabularies. Immutable by convention after load."""
@@ -64,26 +73,19 @@ class RuleSet:
     write_sinks: list[tuple[str, str]]
 
     def __post_init__(self):
-        for label, entries in (
-            ("keywords", self.keywords),
-            ("path_apis", self.path_api_names),
-            ("hardcoded_paths", self.hardcoded_path_prefixes),
-        ):
-            _check_entries(label, entries)
-        if any(kw != kw.lower() for kw in self.keywords):
-            raise RuleFormatError("keywords must be lowercase")
-        for pair in self.write_sinks:
-            if len(pair) != 2 or not pair[0] or not pair[1]:
-                raise RuleFormatError(f"bad write_sink entry {pair!r}")
-        if len(set(self.write_sinks)) != len(self.write_sinks):
-            raise RuleFormatError("duplicate entry in write_sinks")
-
-
-def _check_entries(label: str, entries: list[str]) -> None:
-    if any(not e for e in entries):
-        raise RuleFormatError(f"empty entry in {label}")
-    if len(set(entries)) != len(entries):
-        raise RuleFormatError(f"duplicate entry in {label}")
+        # A fixed check order gives a ruleset with several faults one stable message.
+        for section, attr in _SECTIONS.items():
+            entries = getattr(self, attr)
+            if section == "write_sinks":
+                if any(kw != kw.lower() for kw in self.keywords):
+                    raise RuleFormatError("keywords must be lowercase")
+                for pair in entries:
+                    if len(pair) != 2 or not pair[0] or not pair[1]:
+                        raise RuleFormatError(f"bad write_sink entry {pair!r}")
+            elif any(not e for e in entries):
+                raise RuleFormatError(f"empty entry in {section}")
+            if len(set(entries)) != len(entries):
+                raise RuleFormatError(f"duplicate entry in {section}")
 
 
 def default_ruleset() -> RuleSet:
@@ -111,9 +113,9 @@ class WriteSinkHit(NamedTuple):
     line: int
 
 
-@dataclass
-class MarkSet:
-    """Per-method rule hits; category flags are the lists' non-emptiness."""
+class MarkSet(NamedTuple):
+    """Per-method rule hits: field ``<c>_hits`` lists category ``c``'s hits, in
+    ``detector.ConditionSet`` field order; a category's flag is non-emptiness."""
 
     keyword_hits: list[KeywordHit]
     path_source_hits: list[PathSourceHit]
@@ -170,9 +172,6 @@ def mark_function(m: MethodDef, rules: RuleSet) -> MarkSet:
     return MarkSet(keyword_hits, path_source_hits, write_sink_hits)
 
 
-_SECTION_NAMES = ("keywords", "path_apis", "hardcoded_paths", "write_sinks")
-
-
 def load_ruleset(file: str | Path) -> RuleSet:
     """Load a ruleset file; sections not present inherit the defaults.
 
@@ -189,7 +188,7 @@ def load_ruleset(file: str | Path) -> RuleSet:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_NAMES:
+            if name not in _SECTIONS:
                 raise RuleFormatError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise RuleFormatError(f"line {lineno}: duplicate section [{name}]")
@@ -198,21 +197,12 @@ def load_ruleset(file: str | Path) -> RuleSet:
             continue
         if current is None:
             raise RuleFormatError(f"line {lineno}: entry before any section header")
-        sections[current].append(line)
+        sections[current].append(line.lower() if current == "keywords" else line)
 
-    defaults = default_ruleset()
-    keywords = (
-        [e.lower() for e in sections["keywords"]]
-        if "keywords" in sections
-        else defaults.keywords
-    )
-    path_apis = sections.get("path_apis", defaults.path_api_names)
-    prefixes = sections.get("hardcoded_paths", defaults.hardcoded_path_prefixes)
     if "write_sinks" in sections:
-        write_sinks = [_parse_sink_entry(e) for e in sections["write_sinks"]]
-    else:
-        write_sinks = defaults.write_sinks
-    return RuleSet(keywords, path_apis, prefixes, write_sinks)
+        sections["write_sinks"] = [_parse_sink_entry(e) for e in sections["write_sinks"]]
+    parsed = {_SECTIONS[name]: entries for name, entries in sections.items()}
+    return replace(default_ruleset(), **parsed)
 
 
 def _parse_sink_entry(entry: str) -> tuple[str, str]:
@@ -224,14 +214,6 @@ def _parse_sink_entry(entry: str) -> tuple[str, str]:
 
 def ruleset_digest(rules: RuleSet) -> str:
     """Stable sha256 over the effective ruleset, for report attribution."""
-    payload = json.dumps(
-        {
-            "keywords": rules.keywords,
-            "path_apis": rules.path_api_names,
-            "hardcoded_paths": rules.hardcoded_path_prefixes,
-            "write_sinks": [list(pair) for pair in rules.write_sinks],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    payload = {section: getattr(rules, attr) for section, attr in _SECTIONS.items()}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

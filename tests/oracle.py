@@ -63,3 +63,16 @@ def witness_chain_oracle(adjacency: dict, seed, marked: set, depth: int) -> list
         return None
     target = min(reached, key=lambda n: (dist[n], n))
     return min(nx.all_shortest_paths(g, seed, target))
+
+
+def evidence_oracle(adjacency: dict, marks: dict, seed, depth: int) -> dict[str, list[tuple]]:
+    """Per category, (method, hit, distance) for every hit within depth-1
+    edges of seed: methods by (distance, key), hits in source order."""
+    g = _digraph(adjacency)
+    dist = nx.single_source_shortest_path_length(g, seed, cutoff=depth - 1)
+    nodes = sorted(dist, key=lambda n: (dist[n], n))
+    return {
+        "keyword": [(n, h, dist[n]) for n in nodes for h in marks[n].keyword_hits],
+        "path_source": [(n, h, dist[n]) for n in nodes for h in marks[n].path_source_hits],
+        "write_sink": [(n, h, dist[n]) for n in nodes for h in marks[n].write_sink_hits],
+    }

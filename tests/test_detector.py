@@ -3,13 +3,13 @@ import random
 import pytest
 
 from storescan.callgraph import UnknownNodeError, build_callgraph
-from storescan.detector import DetectorConfig, accumulate, detect_app
-from storescan.report import CorpusReport, emit_report
-from storescan.rules import default_ruleset, mark_function
+from storescan.detector import ConditionSet, DetectorConfig, accumulate, detect_app
+from storescan.report import CorpusReport, emit_report, load_report_schema
+from storescan.rules import MarkSet, default_ruleset, mark_function
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
 
 from appgen import random_instance
-from oracle import flagged_oracle, satisfying_seeds_oracle, witness_chain_oracle
+from oracle import evidence_oracle, flagged_oracle, satisfying_seeds_oracle, witness_chain_oracle
 
 OWNER = "Ld/D;"
 
@@ -97,6 +97,49 @@ class TestAccumulate:
         g = build_callgraph(CHAIN_APP)
         with pytest.raises(ValueError):
             accumulate(key("main"), g, marks_for(CHAIN_APP), depth=0)
+
+    def test_evidence_matches_oracle_for_every_seed(self):
+        # Every seed, satisfied or not: all three evidence lists, row for row.
+        # Random graphs have cycles and self-loops, and node keys do not sort
+        # in index order, so the (distance, method) order is exercised; the
+        # extra hits give methods several hits in one category.
+        rng = random.Random(53)
+        extra = [
+            StringConst("/sdcard/user_log", 90),
+            Invoke("virtual", MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 91),
+        ]
+        rows = unsatisfied = multi_hit = 0
+        for _ in range(40):
+            inst = random_instance(rng)
+            for m in (m for c in inst.app.classes for m in c.methods):
+                m.body.extend(ins for ins in extra if rng.random() < 0.3)
+            g = build_callgraph(inst.app)
+            marks = marks_for(inst.app)
+            by_name = {k[1]: k for k in marks}
+            node = [by_name[f"m{i}"] for i in range(len(marks))]
+            adjacency = {node[a]: [node[b] for b in bs] for a, bs in inst.adjacency.items()}
+            for depth in range(1, 9):
+                for seed in node:
+                    cs = accumulate(seed, g, marks, depth)
+                    assert cs._asdict() == evidence_oracle(adjacency, marks, seed, depth)
+                    rows += sum(map(len, cs))
+                    unsatisfied += not cs.satisfied()
+                    multi_hit += any(a.method == b.method for ev in cs for a, b in zip(ev, ev[1:]))
+        assert rows > 20_000 and unsatisfied > 1000 and multi_hit > 1000
+
+
+class TestCategories:
+    def test_condition_fields_are_the_report_categories(self):
+        finding = load_report_schema()["definitions"]["finding"]["properties"]
+        assert list(ConditionSet._fields) == finding["categories"]["required"]
+        assert list(ConditionSet._fields) == finding["witness_chains"]["required"]
+
+    def test_mark_fields_follow_condition_fields(self):
+        assert tuple(f.removesuffix("_hits") for f in MarkSet._fields) == ConditionSet._fields
+
+    def test_witness_chains_in_category_order(self):
+        (finding,) = detect_app(CHAIN_APP, DetectorConfig(depth=3)).findings
+        assert tuple(finding.witness_chains) == ConditionSet._fields
 
 
 class TestDetectApp:

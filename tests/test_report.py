@@ -4,6 +4,9 @@ import json
 import jsonschema
 import pytest
 
+from storescan import detector as detector_module
+from storescan import report as report_module
+from storescan.callgraph import build_callgraph
 from storescan.detector import DetectorConfig
 from storescan.report import CorpusReport, emit_report, report_to_dict, scan_corpus
 from storescan.rules import default_ruleset, ruleset_digest
@@ -33,8 +36,169 @@ app app_chain: 1 finding(s)
 """
 
 
+GOLDEN_JSON = """\
+{
+  "schema_version": "1",
+  "config": {
+    "depth": 3,
+    "rules_digest": "e57dd783624643bb3a052d9b45263b6b8d6337d346ffb40adf5c731fed770cd8"
+  },
+  "totals": {
+    "apps_scanned": 4,
+    "apps_flagged": 2,
+    "parse_diagnostics": 0
+  },
+  "apps": [
+    {
+      "app_id": "app_bad",
+      "flagged": true,
+      "diagnostics": [],
+      "findings": [
+        {
+          "seed": "Lfx/Vuln;->run()V",
+          "categories": {
+            "keyword": [
+              {
+                "value": "/sdcard/user_log",
+                "keyword": "log",
+                "method": "Lfx/Vuln;->run()V",
+                "line": 6,
+                "distance": 0
+              }
+            ],
+            "path_source": [
+              {
+                "evidence": "/sdcard/user_log",
+                "method": "Lfx/Vuln;->run()V",
+                "line": 6,
+                "distance": 0
+              }
+            ],
+            "write_sink": [
+              {
+                "target": "Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V",
+                "method": "Lfx/Vuln;->run()V",
+                "line": 8,
+                "distance": 0
+              }
+            ]
+          },
+          "witness_chains": {
+            "keyword": [
+              "Lfx/Vuln;->run()V"
+            ],
+            "path_source": [
+              "Lfx/Vuln;->run()V"
+            ],
+            "write_sink": [
+              "Lfx/Vuln;->run()V"
+            ]
+          }
+        }
+      ]
+    },
+    {
+      "app_id": "app_chain",
+      "flagged": true,
+      "diagnostics": [],
+      "findings": [
+        {
+          "seed": "Lch/Main;->run()V",
+          "categories": {
+            "keyword": [
+              {
+                "value": "/user_log",
+                "keyword": "log",
+                "method": "Lch/Help;->step1()V",
+                "line": 5,
+                "distance": 1
+              }
+            ],
+            "path_source": [
+              {
+                "evidence": "getExternalStorageDirectory",
+                "method": "Lch/Main;->run()V",
+                "line": 5,
+                "distance": 0
+              }
+            ],
+            "write_sink": [
+              {
+                "target": "Ljava/io/File;->mkdir()Z",
+                "method": "Lch/Help;->step2()V",
+                "line": 14,
+                "distance": 2
+              }
+            ]
+          },
+          "witness_chains": {
+            "keyword": [
+              "Lch/Main;->run()V",
+              "Lch/Help;->step1()V"
+            ],
+            "path_source": [
+              "Lch/Main;->run()V"
+            ],
+            "write_sink": [
+              "Lch/Main;->run()V",
+              "Lch/Help;->alt()V",
+              "Lch/Help;->step2()V"
+            ]
+          }
+        }
+      ]
+    },
+    {
+      "app_id": "app_ok1",
+      "flagged": false,
+      "diagnostics": [],
+      "findings": []
+    },
+    {
+      "app_id": "app_ok2",
+      "flagged": false,
+      "diagnostics": [],
+      "findings": []
+    }
+  ]
+}
+"""
+
 def scan(root, depth=3, **kwargs):
     return scan_corpus(root, DetectorConfig(depth=depth), **kwargs)
+
+
+@pytest.fixture
+def chain_corpus(three_app_corpus):
+    """three_app_corpus plus app_chain: Main.run reaches step2 through step1
+    and through alt, so the witness chain takes the lexically smaller alt
+    although step1 is called first."""
+    main = class_text(
+        "Lch/Main;",
+        methods=[
+            method_text(
+                "run",
+                body=[
+                    "    invoke-static {}, Landroid/os/Environment;->getExternalStorageDirectory()Ljava/io/File;",
+                    invoke_line("static", "Lch/Help;", "step1", "()V"),
+                    invoke_line("static", "Lch/Help;", "alt", "()V"),
+                ],
+            )
+        ],
+    )
+    step2 = invoke_line("static", "Lch/Help;", "step2", "()V")
+    help_cls = class_text(
+        "Lch/Help;",
+        methods=[
+            method_text("step1", body=[const_string_line("/user_log"), step2]),
+            method_text("alt", body=[step2]),
+            method_text("step2", body=["    invoke-virtual {v2}, Ljava/io/File;->mkdir()Z"]),
+        ],
+    )
+    (three_app_corpus / "app_chain").mkdir()
+    (three_app_corpus / "app_chain" / "Main.smali").write_text(main, encoding="utf-8")
+    (three_app_corpus / "app_chain" / "Help.smali").write_text(help_cls, encoding="utf-8")
+    return three_app_corpus
 
 
 class TestScanCorpus:
@@ -90,6 +254,21 @@ class TestScanCorpus:
         assert report.totals.apps_flagged == sum(1 for r in report.apps if r.flagged)
         assert report.totals.parse_diagnostics == sum(len(r.diagnostics) for r in report.apps)
 
+    def test_graph_sink_builds_each_call_graph_once(self, three_app_corpus, monkeypatch):
+        built = []
+
+        def counting_build(app):
+            built.append(app.app_id)
+            return build_callgraph(app)
+
+        monkeypatch.setattr(report_module, "build_callgraph", counting_build)
+        monkeypatch.setattr(detector_module, "build_callgraph", counting_build)
+        scan(three_app_corpus, graph_sink=io.StringIO())
+        assert built == ["app_bad", "app_ok1", "app_ok2"]
+        built.clear()
+        scan(three_app_corpus)
+        assert built == ["app_bad", "app_ok1", "app_ok2"]
+
     def test_graph_sink_receives_sorted_edges(self, three_app_corpus):
         sink = io.StringIO()
         scan(three_app_corpus, graph_sink=sink)
@@ -120,35 +299,12 @@ class TestEmitReport:
         assert any(line.lstrip().startswith("seed ") for line in lines)
         assert any("line" in line for line in lines if "keyword" in line)
 
-    def test_text_report_golden(self, three_app_corpus):
-        # Main.run reaches step2 through step1 and through alt; the witness
-        # chain takes the lexically smaller alt although step1 is called first.
-        main = class_text(
-            "Lch/Main;",
-            methods=[
-                method_text(
-                    "run",
-                    body=[
-                        "    invoke-static {}, Landroid/os/Environment;->getExternalStorageDirectory()Ljava/io/File;",
-                        invoke_line("static", "Lch/Help;", "step1", "()V"),
-                        invoke_line("static", "Lch/Help;", "alt", "()V"),
-                    ],
-                )
-            ],
-        )
-        step2 = invoke_line("static", "Lch/Help;", "step2", "()V")
-        help_cls = class_text(
-            "Lch/Help;",
-            methods=[
-                method_text("step1", body=[const_string_line("/user_log"), step2]),
-                method_text("alt", body=[step2]),
-                method_text("step2", body=["    invoke-virtual {v2}, Ljava/io/File;->mkdir()Z"]),
-            ],
-        )
-        (three_app_corpus / "app_chain").mkdir()
-        (three_app_corpus / "app_chain" / "Main.smali").write_text(main, encoding="utf-8")
-        (three_app_corpus / "app_chain" / "Help.smali").write_text(help_cls, encoding="utf-8")
-        assert emit_report(scan(three_app_corpus), "text") == GOLDEN_TEXT
+    def test_text_report_golden(self, chain_corpus):
+        assert emit_report(scan(chain_corpus), "text") == GOLDEN_TEXT
+
+    def test_json_report_golden(self, chain_corpus):
+        # Pins key order, row layout per hit type and indentation.
+        assert emit_report(scan(chain_corpus), "json") == GOLDEN_JSON
 
     def test_emit_twice_byte_identical(self, three_app_corpus):
         report = scan(three_app_corpus)

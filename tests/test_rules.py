@@ -44,14 +44,23 @@ class TestDefaultRuleset:
         assert ("Ljava/io/File;", "mkdirs") in sinks
 
     def test_invariants_enforced(self):
-        with pytest.raises(RuleFormatError):
+        with pytest.raises(RuleFormatError, match=r"^duplicate entry in keywords$"):
             RuleSet(["log", "log"], [], [], [])
-        with pytest.raises(RuleFormatError):
+        with pytest.raises(RuleFormatError, match=r"^keywords must be lowercase$"):
             RuleSet(["LOG"], [], [], [])
-        with pytest.raises(RuleFormatError):
+        with pytest.raises(RuleFormatError, match=r"^empty entry in keywords$"):
             RuleSet([""], [], [], [])
-        with pytest.raises(RuleFormatError):
+        with pytest.raises(RuleFormatError, match=r"^bad write_sink entry \('La;', ''\)$"):
             RuleSet([], [], [], [("La;", "")])
+
+    def test_first_fault_in_section_order_wins(self):
+        # Keywords come before write sinks, so the duplicate keyword is named.
+        with pytest.raises(RuleFormatError, match=r"^duplicate entry in keywords$"):
+            RuleSet(["log", "log"], [], [], [("La;", "")])
+        with pytest.raises(RuleFormatError, match=r"^empty entry in path_apis$"):
+            RuleSet(["LOG"], [""], [], [])
+        with pytest.raises(RuleFormatError, match=r"^keywords must be lowercase$"):
+            RuleSet(["LOG"], [], [], [("La;", "")])
 
 
 class TestMatchKeyword:
@@ -258,6 +267,33 @@ class TestLoadRuleset:
 
 
 class TestDigest:
+    def test_default_digest_pinned(self):
+        assert ruleset_digest(default_ruleset()) == (
+            "e57dd783624643bb3a052d9b45263b6b8d6337d346ffb40adf5c731fed770cd8"
+        )
+
+    def test_loaded_digest_pinned(self, tmp_path):
+        # Sections out of file order and mixed-case keywords: the digest sees
+        # the effective ruleset, so neither changes it.
+        f = tmp_path / "rules.txt"
+        f.write_text(
+            "[write_sinks]\nLjava/io/RandomAccessFile;::<init>\n"
+            "[hardcoded_paths]\n/mnt/sdcard\n"
+            "[keywords]\nSeCreT\nToken\n",
+            encoding="utf-8",
+        )
+        assert ruleset_digest(load_ruleset(f)) == (
+            "bdfb29c1bdb2957af9c6c94391227c7460b4405c6b7bf6e6f17198feb91cc8bc"
+        )
+        g = tmp_path / "ordered.txt"
+        g.write_text(
+            "[keywords]\nsecret\ntoken\n"
+            "[hardcoded_paths]\n/mnt/sdcard\n"
+            "[write_sinks]\nLjava/io/RandomAccessFile;::<init>\n",
+            encoding="utf-8",
+        )
+        assert ruleset_digest(load_ruleset(g)) == ruleset_digest(load_ruleset(f))
+
     def test_stable_and_order_sensitive(self):
         a = ruleset_digest(default_ruleset())
         assert a == ruleset_digest(default_ruleset())
