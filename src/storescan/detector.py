@@ -22,7 +22,7 @@ from .rules import (
     default_ruleset,
     mark_function,
 )
-from .smali_ir import AppModel, MethodKey
+from .smali_ir import AppModel, MethodRef
 
 
 @dataclass
@@ -36,7 +36,7 @@ class DetectorConfig:
 
 
 class Evidence(NamedTuple):
-    method: MethodKey
+    method: MethodRef
     hit: KeywordHit | PathSourceHit | WriteSinkHit
     distance: int  # call distance from the seed
 
@@ -55,10 +55,10 @@ class ConditionSet(NamedTuple):
 
 @dataclass
 class Finding:
-    seed: MethodKey
+    seed: MethodRef
     conditions: ConditionSet
     #: category -> witness chain (see the module docstring).
-    witness_chains: dict[str, list[MethodKey]]
+    witness_chains: dict[str, list[MethodRef]]
 
 
 @dataclass
@@ -73,9 +73,9 @@ class DetectionResult:
 
 
 def accumulate(
-    seed: MethodKey,
+    seed: MethodRef,
     g: CallGraph,
-    marks: dict[MethodKey, MarkSet],
+    marks: dict[MethodRef, MarkSet],
     depth: int,
 ) -> ConditionSet:
     """Union the marks of every method within ``depth - 1`` call edges of seed.
@@ -92,8 +92,8 @@ def accumulate(
 
 
 def _witness_chains(
-    g: CallGraph, seed: MethodKey, conditions: ConditionSet
-) -> dict[str, list[MethodKey]]:
+    g: CallGraph, seed: MethodRef, conditions: ConditionSet
+) -> dict[str, list[MethodRef]]:
     # Each category's first evidence row is its closest method, ties broken
     # lexically. Callees are expanded in sorted order, so the first path to
     # reach a node is the lexically smallest of its shortest paths.

@@ -11,7 +11,7 @@ from typing import NamedTuple, TextIO
 from .callgraph import build_callgraph, edge_list_text
 from .detector import DetectionResult, DetectorConfig, Evidence, Finding, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
-from .smali_ir import DuplicateClassError, method_key_str, parse_app_dir
+from .smali_ir import DuplicateClassError, parse_app_dir
 
 SCHEMA_VERSION = "1"
 SCHEMA_FILENAME = "report_schema.json"
@@ -90,7 +90,7 @@ def _category_rows(evidence: list[Evidence]) -> list[dict]:
             row["evidence"] = e.hit.evidence
         else:
             row["target"] = str(e.hit.target)
-        row["method"] = method_key_str(e.method)
+        row["method"] = str(e.method)
         row["line"] = e.hit.line
         row["distance"] = e.distance
         rows.append(row)
@@ -99,13 +99,13 @@ def _category_rows(evidence: list[Evidence]) -> list[dict]:
 
 def _finding_dict(f: Finding) -> dict:
     return {
-        "seed": method_key_str(f.seed),
+        "seed": str(f.seed),
         "categories": {
             category: _category_rows(evidence)
             for category, evidence in f.conditions._asdict().items()
         },
         "witness_chains": {
-            category: [method_key_str(k) for k in chain]
+            category: [str(k) for k in chain]
             for category, chain in f.witness_chains.items()
         },
     }
@@ -146,17 +146,15 @@ def _text_report(report: CorpusReport) -> str:
             continue
         lines.append(f"app {r.app_id}: {len(r.findings)} finding(s)")
         for f in r.findings:
-            lines.append(f"  seed {method_key_str(f.seed)}")
+            lines.append(f"  seed {f.seed}")
             for category, evidence in f.conditions._asdict().items():
                 for e in evidence:
                     lines.append(
-                        f"    {category}: {_describe_hit(e)} in {method_key_str(e.method)}"
+                        f"    {category}: {_describe_hit(e)} in {e.method}"
                         f" line {e.hit.line} distance {e.distance}"
                     )
             for category, chain in f.witness_chains.items():
-                lines.append(
-                    f"    chain {category}: " + " -> ".join(method_key_str(k) for k in chain)
-                )
+                lines.append(f"    chain {category}: " + " -> ".join(map(str, chain)))
     return "".join(line + "\n" for line in lines)
 
 

@@ -80,7 +80,8 @@ class RuleSet:
                 if any(kw != kw.lower() for kw in self.keywords):
                     raise RuleFormatError("keywords must be lowercase")
                 for pair in entries:
-                    if len(pair) != 2 or not pair[0] or not pair[1]:
+                    if not (isinstance(pair, tuple) and len(pair) == 2
+                            and all(isinstance(part, str) and part for part in pair)):
                         raise RuleFormatError(f"bad write_sink entry {pair!r}")
             elif any(not e for e in entries):
                 raise RuleFormatError(f"empty entry in {section}")

@@ -11,11 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 SMALI_EXTENSION = ".smali"
-
-#: Identity of a method within one app: (owner descriptor, name, proto).
-MethodKey = tuple[str, str, str]
 
 
 class SmaliParseError(Exception):
@@ -44,9 +42,9 @@ class DuplicateClassError(Exception):
     """Two files in one app directory declare the same class descriptor."""
 
 
-@dataclass(frozen=True)
-class MethodRef:
-    """Target of an invoke: owner descriptor, method name, smali proto."""
+class MethodRef(NamedTuple):
+    """Identity of a method: owner descriptor, method name, smali proto. Both
+    invoke targets and defined methods (``MethodDef.key``) are ``MethodRef``s."""
 
     class_descriptor: str
     name: str
@@ -95,8 +93,8 @@ class MethodDef:
     body: list[Instruction] = field(default_factory=list)
 
     @property
-    def key(self) -> MethodKey:
-        return (self.owner, self.name, self.proto)
+    def key(self) -> MethodRef:
+        return MethodRef(self.owner, self.name, self.proto)
 
 
 @dataclass
@@ -117,11 +115,6 @@ class AppModel:
 
     app_id: str
     classes: list[ClassDef] = field(default_factory=list)
-
-
-def method_key_str(key: MethodKey) -> str:
-    """Render a method identity as ``Lpkg/Cls;->name(proto)Ret``."""
-    return f"{key[0]}->{key[1]}{key[2]}"
 
 
 _CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
@@ -344,8 +337,7 @@ def _render_instruction(ins: Instruction) -> str:
     if ins.raw_line is not None:
         return ins.raw_line
     if isinstance(ins, Invoke):
-        t = ins.target
-        return f"    invoke-{ins.kind} {{}}, {t.class_descriptor}->{t.name}{t.proto}"
+        return f"    invoke-{ins.kind} {{}}, {ins.target}"
     return f'    const-string v0, "{_escape_string(ins.value)}"'
 
 

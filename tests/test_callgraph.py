@@ -37,9 +37,8 @@ class TestBuildCallgraph:
     def test_internal_edge_exact_triple(self):
         g = build_callgraph(app_from_adjacency({"f": ["g"], "g": []}))
         assert g.edges[key("f")] == [key("g")]
-        assert g.externals[key("f")] == []
 
-    def test_external_target_recorded(self):
+    def test_external_target_gets_no_edge(self):
         ref = MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;")
         app = AppModel(
             "x",
@@ -53,9 +52,8 @@ class TestBuildCallgraph:
         )
         g = build_callgraph(app)
         assert g.edges[("La/A;", "f", "()V")] == []
-        assert g.externals[("La/A;", "f", "()V")] == [ref]
 
-    def test_proto_mismatch_is_external(self):
+    def test_proto_mismatch_gets_no_edge(self):
         app = AppModel(
             "x",
             [
@@ -71,7 +69,13 @@ class TestBuildCallgraph:
         )
         g = build_callgraph(app)
         assert g.edges[("La/A;", "f", "()V")] == []
-        assert len(g.externals[("La/A;", "f", "()V")]) == 1
+
+    def test_keys_and_callees_are_method_refs(self):
+        g = build_callgraph(app_from_adjacency({"f": ["g", "f"], "g": []}))
+        assert all(type(k) is MethodRef for k in g.nodes)
+        assert all(type(c) is MethodRef for callees in g.edges.values() for c in callees)
+        assert [str(k) for k in g.nodes] == ["Lg/G;->f()V", "Lg/G;->g()V"]
+        assert [str(c) for c in g.edges[key("f")]] == ["Lg/G;->g()V", "Lg/G;->f()V"]
 
     def test_no_invokes_means_no_edges(self):
         g = build_callgraph(app_from_adjacency({"f": [], "g": []}))
@@ -116,7 +120,8 @@ class TestReachability:
 
     def test_unknown_seed(self):
         g = build_callgraph(app_from_adjacency({"f": []}))
-        with pytest.raises(UnknownNodeError):
+        # key() is a plain 3-tuple; the message still renders it as a method.
+        with pytest.raises(UnknownNodeError, match=r"^unknown method Lg/G;->nope\(\)V$"):
             reachable(g, key("nope"), 1)
 
     def test_negative_bound_rejected(self):

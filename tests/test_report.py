@@ -164,6 +164,21 @@ GOLDEN_JSON = """\
 }
 """
 
+
+# One line per distinct resolved edge: Main.run's second step1 call and its
+# call to the undefined step2(I)V add none.
+GOLDEN_CALLGRAPH = """\
+# callgraph app_bad
+# callgraph app_chain
+Lch/Help;->alt()V\tLch/Help;->step2()V
+Lch/Help;->step1()V\tLch/Help;->step2()V
+Lch/Main;->run()V\tLch/Help;->alt()V
+Lch/Main;->run()V\tLch/Help;->step1()V
+# callgraph app_ok1
+# callgraph app_ok2
+"""
+
+
 def scan(root, depth=3, **kwargs):
     return scan_corpus(root, DetectorConfig(depth=depth), **kwargs)
 
@@ -172,7 +187,8 @@ def scan(root, depth=3, **kwargs):
 def chain_corpus(three_app_corpus):
     """three_app_corpus plus app_chain: Main.run reaches step2 through step1
     and through alt, so the witness chain takes the lexically smaller alt
-    although step1 is called first."""
+    although step1 is called first. Main.run also calls step1 a second time
+    (one edge) and step2(I)V, which the app does not define (no edge)."""
     main = class_text(
         "Lch/Main;",
         methods=[
@@ -182,6 +198,8 @@ def chain_corpus(three_app_corpus):
                     "    invoke-static {}, Landroid/os/Environment;->getExternalStorageDirectory()Ljava/io/File;",
                     invoke_line("static", "Lch/Help;", "step1", "()V"),
                     invoke_line("static", "Lch/Help;", "alt", "()V"),
+                    invoke_line("static", "Lch/Help;", "step1", "()V"),
+                    invoke_line("static", "Lch/Help;", "step2", "(I)V"),
                 ],
             )
         ],
@@ -276,6 +294,11 @@ class TestScanCorpus:
         assert dump.count("# callgraph ") == 3
         edge_lines = [l for l in dump.splitlines() if not l.startswith("#")]
         assert all("\t" in l for l in edge_lines)
+
+    def test_graph_sink_golden(self, chain_corpus):
+        sink = io.StringIO()
+        scan(chain_corpus, graph_sink=sink)
+        assert sink.getvalue() == GOLDEN_CALLGRAPH
 
 
 class TestEmitReport:

@@ -52,6 +52,10 @@ class TestDefaultRuleset:
             RuleSet([""], [], [], [])
         with pytest.raises(RuleFormatError, match=r"^bad write_sink entry \('La;', ''\)$"):
             RuleSet([], [], [], [("La;", "")])
+        with pytest.raises(RuleFormatError, match=r"^bad write_sink entry \['La;', 'b'\]$"):
+            RuleSet([], [], [], [["La;", "b"]])
+        with pytest.raises(RuleFormatError, match=r"^bad write_sink entry \('La;', 1\)$"):
+            RuleSet([], [], [], [("La;", 1)])
 
     def test_first_fault_in_section_order_wins(self):
         # Keywords come before write sinks, so the duplicate keyword is named.

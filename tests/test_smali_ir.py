@@ -1,4 +1,6 @@
+import operator
 import re
+import string
 
 import pytest
 from hypothesis import given
@@ -205,6 +207,62 @@ class TestParseClass:
         assert cls.source_file == "com/a/B.smali"
 
 
+# Strategies for whole classes. Every generated line is one the parser keeps
+# as what it was made from: interpreted families parse back to their type,
+# the opaque opcodes are neither invoke-*, const-string nor directives.
+_IDENT = st.text(alphabet=string.ascii_letters + string.digits + "_$éж", min_size=1, max_size=6)
+_CLASS_DESC = st.lists(_IDENT, min_size=1, max_size=3).map(lambda parts: "L" + "/".join(parts) + ";")
+_TYPE = st.builds(operator.add, st.sampled_from(["", "["]), st.one_of(st.sampled_from("ZBSCIJFD"), _CLASS_DESC))
+_PROTO = st.builds(
+    lambda params, ret: f"({''.join(params)}){ret}", st.lists(_TYPE, max_size=3), st.one_of(st.just("V"), _TYPE)
+)
+_METHOD_NAME = st.one_of(st.sampled_from(["<init>", "<clinit>"]), _IDENT)
+_INVOKE = st.builds(
+    Invoke,
+    st.sampled_from(["virtual", "super", "direct", "static", "interface"]),
+    st.builds(MethodRef, _CLASS_DESC, _METHOD_NAME, _PROTO),
+)
+_SPECIAL_CHARS = '\\"\'\n\t\r\b\f\x00\x1f\x7féж€😀/._ '  # escapes, controls, non-ASCII
+_STRING_CONST = st.builds(StringConst, st.one_of(st.text(), st.text(alphabet=_SPECIAL_CHARS)))
+_OPAQUE = st.builds(
+    lambda op, operands: Opaque(f"    {op}{operands}"),
+    st.sampled_from(
+        ["nop", "return-void", "return-object", "move-result-object", "const/4", "const-wide/16",
+         "const-class", "new-instance", "check-cast", "iget-object", "sput", "if-eqz", "goto", "throw"]
+    ),
+    st.sampled_from(["", " v0", " v1, v2", " p0, La/B;->f:I", " :cond_0", " v0, 0x1"]),
+)
+_INSTRUCTION = st.one_of(_INVOKE, _STRING_CONST, _OPAQUE)
+_METADATA = st.one_of(
+    st.builds(lambda name, t: f".field private {name}:{t}", _IDENT, _TYPE),
+    st.builds(lambda name: f'.source "{name}.java"', _IDENT),
+    st.builds(lambda desc: f".implements {desc}", _CLASS_DESC),
+    st.builds(lambda text: f"# {text}", _IDENT),
+)
+_CLASS_FLAGS = st.lists(st.sampled_from(["public", "final", "abstract", "interface", "synthetic", "enum"]), max_size=3)
+_METHOD_FLAGS = st.lists(
+    st.sampled_from(["public", "private", "static", "final", "synthetic", "bridge", "constructor", "native"]),
+    max_size=3,
+)
+
+
+@st.composite
+def class_defs(draw) -> ClassDef:
+    desc = draw(_CLASS_DESC)
+    signatures = draw(st.lists(st.tuples(_METHOD_NAME, _PROTO), max_size=4, unique=True))
+    methods = [
+        MethodDef(desc, name, proto, draw(_METHOD_FLAGS), draw(st.lists(_INSTRUCTION, max_size=8)))
+        for name, proto in signatures
+    ]
+    return ClassDef(
+        desc,
+        draw(st.one_of(st.just(""), _CLASS_DESC)),
+        draw(_CLASS_FLAGS),
+        draw(st.lists(_METADATA, max_size=4)),
+        methods,
+    )
+
+
 class TestRenderRoundTrip:
     def test_empty_class_renders_two_lines(self):
         cls = ClassDef("Lcom/a/B;", "Ljava/lang/Object;")
@@ -266,6 +324,10 @@ class TestRenderRoundTrip:
         )
         reparsed = parse_class(render_class(cls))
         assert reparsed.methods[0].body == [StringConst(value)]
+
+    @given(class_defs())
+    def test_class_roundtrip(self, cls):
+        assert parse_class(render_class(cls)) == cls
 
 
 class TestParseAppDir:
