@@ -92,14 +92,13 @@ def scan(corpus_root, depth, rules_file, fmt, output, fail_on_detect, dump_callg
     graph_sink = click.get_text_stream("stderr") if dump_callgraph else None
     try:
         report = scan_corpus(corpus_root, config, graph_sink=graph_sink)
+        rendered = emit_report(report, fmt)
+        if output is not None:
+            output.write_text(rendered, encoding="utf-8")
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-
-    rendered = emit_report(report, fmt)
-    if output is not None:
-        output.write_text(rendered, encoding="utf-8")
-    else:
+    if output is None:
         click.echo(rendered, nl=False)
 
     if fail_on_detect and report.totals.apps_flagged > 0:

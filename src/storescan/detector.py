@@ -1,10 +1,11 @@
 """Depth-bounded detection over the call graph.
 
-Every method is tried as a seed. A seed flags the app when the union of
-rule marks over everything it can reach within ``depth - 1`` call edges
-covers all three criterion categories, the fields of ``ConditionSet``.
-Each finding also names, per category, a witness chain: the lexically
-smallest shortest call chain from the seed to the closest evidence method.
+A seed flags the app when the marks within ``depth - 1`` call edges of it
+cover all three criterion categories, the fields of ``ConditionSet``. One
+bit-vector fixpoint over the call graph gives every seed's verdict; evidence
+is built only for the seeds it reports. Each finding also names, per category,
+a witness chain: the lexically smallest shortest call chain from the seed to
+the closest evidence method.
 """
 
 from __future__ import annotations
@@ -84,11 +85,33 @@ def accumulate(
     and then by source order within a method.
     """
     dist = distances_within(g, seed, depth - 1)
-    nodes = sorted(dist, key=lambda n: (dist[n], n))
+    # Unmarked nodes add no rows, so only marked ones are sorted.
+    nodes = sorted((d, n) for n, d in dist.items() if any(marks[n]))
     return ConditionSet._make(
-        [Evidence(n, h, dist[n]) for n in nodes for h in marks[n][i]]
+        [Evidence(n, h, d) for d, n in nodes for h in marks[n][i]]
         for i in range(len(ConditionSet._fields))
     )
+
+
+def _covering_seeds(g: CallGraph, marks: dict[MethodRef, MarkSet], depth: int) -> list[MethodRef]:
+    """The seeds, in ``g.edges`` order, that ``accumulate`` would find satisfied.
+
+    Bit ``i`` of a method's mask is set iff it has a hit in category ``i``.
+    After round ``j``, ``reach[n]`` ORs the masks within ``j`` edges of ``n``.
+    """
+    reach = {n: sum(1 << i for i, hits in enumerate(marks[n]) if hits) for n in g.edges}
+    for _ in range(depth - 1):
+        nxt = {}
+        for n, callees in g.edges.items():
+            r = reach[n]
+            for c in callees:
+                r |= reach[c]
+            nxt[n] = r
+        if nxt == reach:
+            break
+        reach = nxt
+    full = (1 << len(ConditionSet._fields)) - 1
+    return [n for n, r in reach.items() if r == full]
 
 
 def _witness_chains(
@@ -124,8 +147,7 @@ def detect_app(
     g = build_callgraph(app) if graph is None else graph
     marks = {m.key: mark_function(m, config.rules) for cls in app.classes for m in cls.methods}
     findings: list[Finding] = []
-    for seed in g.edges:
+    for seed in _covering_seeds(g, marks, config.depth):
         conditions = accumulate(seed, g, marks, config.depth)
-        if conditions.satisfied():
-            findings.append(Finding(seed, conditions, _witness_chains(g, seed, conditions)))
+        findings.append(Finding(seed, conditions, _witness_chains(g, seed, conditions)))
     return DetectionResult(app.app_id, findings)

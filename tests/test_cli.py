@@ -54,6 +54,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "bad ruleset" in proc.stderr
 
+    def test_unwritable_output_exits_two(self, three_app_corpus, tmp_path):
+        # Exit 1 would read as "apps flagged" under --fail-on-detect.
+        out = tmp_path / "missing" / "report.json"
+        proc = run_cli("scan", str(three_app_corpus), "--output", str(out), "--fail-on-detect")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_bad_format_exits_two(self, three_app_corpus):
         proc = run_cli("scan", str(three_app_corpus), "--format", "xml")
         assert proc.returncode == 2

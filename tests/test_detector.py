@@ -1,11 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from storescan.callgraph import UnknownNodeError, build_callgraph
-from storescan.detector import ConditionSet, DetectorConfig, accumulate, detect_app
+from storescan import detector
+from storescan.callgraph import CallGraph, UnknownNodeError, build_callgraph
+from storescan.detector import ConditionSet, DetectorConfig, _covering_seeds, accumulate, detect_app
 from storescan.report import CorpusReport, emit_report, load_report_schema
-from storescan.rules import MarkSet, default_ruleset, mark_function
+from storescan.rules import (
+    KeywordHit,
+    MarkSet,
+    PathSourceHit,
+    WriteSinkHit,
+    default_ruleset,
+    mark_function,
+)
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
 
 from appgen import random_instance
@@ -126,6 +136,125 @@ class TestAccumulate:
                     unsatisfied += not cs.satisfied()
                     multi_hit += any(a.method == b.method for ev in cs for a, b in zip(ev, ev[1:]))
         assert rows > 20_000 and unsatisfied > 1000 and multi_hit > 1000
+
+
+HITS = (
+    KeywordHit("/sdcard/user_log", "user_log", 1),
+    PathSourceHit("getExternalStorageDirectory", 2),
+    WriteSinkHit(SINK.target, 3),
+)
+
+
+def int_graph(adjacency: dict[int, list[int]], category_nodes: tuple[set[int], set[int], set[int]]):
+    """Call graph and marks over nodes ``0..n-1``: node ``i`` has one hit in
+    category ``c`` iff ``i in category_nodes[c]``. Returns (node keys, graph, marks)."""
+    node = [key(f"m{i}") for i in range(len(adjacency))]
+    g = CallGraph({node[a]: [node[b] for b in bs] for a, bs in adjacency.items()})
+    marks = {
+        node[i]: MarkSet._make([h] if i in nodes else [] for h, nodes in zip(HITS, category_nodes))
+        for i in adjacency
+    }
+    return node, g, marks
+
+
+class CountingEdges(dict):
+    """Edge map that counts full passes over ``items()``: one per kernel round."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+@st.composite
+def adjacency_and_marks(draw):
+    n = draw(st.integers(1, 12))
+    nodes = st.integers(0, n - 1)
+    adjacency = {i: draw(st.lists(nodes, max_size=4, unique=True)) for i in range(n)}
+    category_nodes = tuple(draw(st.sets(nodes, max_size=2)) for _ in ConditionSet._fields)
+    return adjacency, category_nodes
+
+
+class TestCoveringSeeds:
+    """The bit-vector kernel against the per-seed reference ``accumulate``
+    and the networkx oracle."""
+
+    @staticmethod
+    def assert_matches_references(adjacency, category_nodes, node, g, marks, depth):
+        got = _covering_seeds(g, marks, depth)
+        assert got == [s for s in g.edges if accumulate(s, g, marks, depth).satisfied()]
+        want = satisfying_seeds_oracle(adjacency, *category_nodes, depth)
+        assert set(got) == {node[i] for i in want}
+        return got
+
+    def test_random_instances_match_accumulate_and_oracle(self):
+        rng = random.Random(61)
+        satisfied = unsatisfied = 0
+        for _ in range(40):
+            inst = random_instance(rng)
+            g = build_callgraph(inst.app)
+            marks = marks_for(inst.app)
+            by_name = {k[1]: k for k in marks}
+            node = [by_name[f"m{i}"] for i in range(len(marks))]
+            category_nodes = (inst.kw_nodes, inst.path_nodes, inst.sink_nodes)
+            for depth in range(1, 9):
+                got = self.assert_matches_references(
+                    inst.adjacency, category_nodes, node, g, marks, depth
+                )
+                satisfied += len(got)
+                unsatisfied += len(g.edges) - len(got)
+        assert satisfied > 500 and unsatisfied > 500
+
+    @given(adjacency_and_marks(), st.integers(1, 8))
+    def test_generated_graphs_match_accumulate_and_oracle(self, instance, depth):
+        # Cycles, self-loops and unreachable nodes all occur in the drawn maps.
+        adjacency, category_nodes = instance
+        self.assert_matches_references(adjacency, category_nodes, *int_graph(*instance), depth)
+
+    def test_chain_longer_than_depth_runs_every_round(self):
+        # m0 -> m1 -> ... -> m9, one category at each of m7, m8 and m9: each
+        # round moves the bits one edge further, so no round is a fixpoint.
+        adjacency = {i: [i + 1] for i in range(9)} | {9: []}
+        category_nodes = ({7}, {8}, {9})
+        node, g, marks = int_graph(adjacency, category_nodes)
+        g.edges = CountingEdges(g.edges)
+        for depth, want in ((2, []), (3, [7]), (5, [5, 6, 7])):
+            g.edges.passes = 0
+            got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
+            assert got == [node[i] for i in want]
+            assert g.edges.passes == depth - 1
+
+    def test_small_cycle_stops_at_the_fixpoint(self):
+        # m0 <-> m1 and a self-loop on m2: every mask is final after one round,
+        # so the second round changes nothing and ends the loop, long before
+        # depth - 1 rounds.
+        adjacency = {0: [1], 1: [0], 2: [2]}
+        category_nodes = ({0, 2}, {0}, {1})
+        node, g, marks = int_graph(adjacency, category_nodes)
+        g.edges = CountingEdges(g.edges)
+        for depth, passes in ((2, 1), (3, 2), (8, 2)):
+            g.edges.passes = 0
+            got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
+            assert got == node[:2] and g.edges.passes == passes
+
+    def test_detect_app_accumulates_only_reported_seeds(self, monkeypatch):
+        calls = []
+
+        def counting(seed, *args):
+            calls.append(seed)
+            return accumulate(seed, *args)
+
+        monkeypatch.setattr(detector, "accumulate", counting)
+        rng = random.Random(67)
+        mixed = 0
+        for _ in range(30):
+            inst = random_instance(rng)
+            calls.clear()
+            result = detect_app(inst.app, DetectorConfig(depth=3))
+            assert calls == [f.seed for f in result.findings]
+            mixed += 0 < len(result.findings) < len(inst.adjacency)
+        assert mixed > 5  # apps where some seeds are reported and some are not
 
 
 class TestCategories:
