@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ DEFAULT_KEYWORDS = [
     "history",
 ]
 
-DEFAULT_PATH_API_NAMES = [
+DEFAULT_PATH_APIS = [
     "getExternalStorageDirectory",
     "getExternalStoragePublicDirectory",
     "getExternalFilesDir",
@@ -41,7 +41,7 @@ DEFAULT_PATH_API_NAMES = [
     "getExternalCacheDirs",
 ]
 
-DEFAULT_HARDCODED_PATH_PREFIXES = ["/sdcard", "/sdcard0", "/sdcard1"]
+DEFAULT_HARDCODED_PATHS = ["/sdcard", "/sdcard0", "/sdcard1"]
 
 DEFAULT_WRITE_SINKS = [
     ("Ljava/io/FileOutputStream;", "<init>"),
@@ -54,31 +54,27 @@ class RuleFormatError(ValueError):
     """A ruleset file or ruleset value violates the format contract."""
 
 
-#: Ruleset file section -> ``RuleSet`` attribute, in file order.
-_SECTIONS = {
-    "keywords": "keywords",
-    "path_apis": "path_api_names",
-    "hardcoded_paths": "hardcoded_path_prefixes",
-    "write_sinks": "write_sinks",
-}
-
-
 @dataclass
 class RuleSet:
-    """The three criterion vocabularies. Immutable by convention after load."""
+    """The three criterion vocabularies. Immutable by convention after load.
+    Each field is one ruleset-file section of the same name, in file order."""
 
     keywords: list[str]
-    path_api_names: list[str]
-    hardcoded_path_prefixes: list[str]
+    path_apis: list[str]
+    hardcoded_paths: list[str]
     write_sinks: list[tuple[str, str]]
 
     def __post_init__(self):
         # A fixed check order gives a ruleset with several faults one stable message.
-        for section, attr in _SECTIONS.items():
-            entries = getattr(self, attr)
+        for section in (f.name for f in fields(self)):
+            entries = getattr(self, section)
             if section == "write_sinks":
                 if any(kw != kw.lower() for kw in self.keywords):
                     raise RuleFormatError("keywords must be lowercase")
+                for kw in self.keywords:
+                    if _TOKEN_SPLIT_RE.search(kw):  # match_keyword splits strings there
+                        raise RuleFormatError(
+                            f"keyword {kw!r} can never match: it contains / \\ . _ - or space")
                 for pair in entries:
                     if not (isinstance(pair, tuple) and len(pair) == 2
                             and all(isinstance(part, str) and part for part in pair)):
@@ -92,8 +88,8 @@ class RuleSet:
 def default_ruleset() -> RuleSet:
     return RuleSet(
         keywords=list(DEFAULT_KEYWORDS),
-        path_api_names=list(DEFAULT_PATH_API_NAMES),
-        hardcoded_path_prefixes=list(DEFAULT_HARDCODED_PATH_PREFIXES),
+        path_apis=list(DEFAULT_PATH_APIS),
+        hardcoded_paths=list(DEFAULT_HARDCODED_PATHS),
         write_sinks=list(DEFAULT_WRITE_SINKS),
     )
 
@@ -153,7 +149,7 @@ def mark_function(m: MethodDef, rules: RuleSet) -> MarkSet:
     Path APIs are matched by method name on any declaring class; hardcoded
     paths and keywords are matched on string constants only.
     """
-    api_names = set(rules.path_api_names)
+    api_names = set(rules.path_apis)
     sinks = set(rules.write_sinks)
     keyword_hits: list[KeywordHit] = []
     path_source_hits: list[PathSourceHit] = []
@@ -168,7 +164,7 @@ def mark_function(m: MethodDef, rules: RuleSet) -> MarkSet:
         elif isinstance(ins, StringConst):
             for kw in match_keyword(ins.value, rules.keywords):
                 keyword_hits.append(KeywordHit(ins.value, kw, ins.source_line))
-            if _matches_hardcoded_prefix(ins.value, rules.hardcoded_path_prefixes):
+            if _matches_hardcoded_prefix(ins.value, rules.hardcoded_paths):
                 path_source_hits.append(PathSourceHit(ins.value, ins.source_line))
     return MarkSet(keyword_hits, path_source_hits, write_sink_hits)
 
@@ -176,11 +172,12 @@ def mark_function(m: MethodDef, rules: RuleSet) -> MarkSet:
 def load_ruleset(file: str | Path) -> RuleSet:
     """Load a ruleset file; sections not present inherit the defaults.
 
-    Format: ``[section]`` headers (keywords, path_apis, hardcoded_paths,
-    write_sinks), one entry per line, ``#`` starts a comment line.
+    Format: ``[section]`` headers named after ``RuleSet``'s fields, one entry
+    per line, ``#`` starts a comment line; a leading BOM is skipped.
     Write-sink entries are ``Lpkg/Cls;::methodName``.
     """
-    text = Path(file).read_text(encoding="utf-8")
+    text = Path(file).read_text(encoding="utf-8-sig")
+    names = {f.name for f in fields(RuleSet)}
     sections: dict[str, list[str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.split("\n"), 1):
@@ -189,7 +186,7 @@ def load_ruleset(file: str | Path) -> RuleSet:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in names:
                 raise RuleFormatError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise RuleFormatError(f"line {lineno}: duplicate section [{name}]")
@@ -202,8 +199,7 @@ def load_ruleset(file: str | Path) -> RuleSet:
 
     if "write_sinks" in sections:
         sections["write_sinks"] = [_parse_sink_entry(e) for e in sections["write_sinks"]]
-    parsed = {_SECTIONS[name]: entries for name, entries in sections.items()}
-    return replace(default_ruleset(), **parsed)
+    return replace(default_ruleset(), **sections)
 
 
 def _parse_sink_entry(entry: str) -> tuple[str, str]:
@@ -215,6 +211,5 @@ def _parse_sink_entry(entry: str) -> tuple[str, str]:
 
 def ruleset_digest(rules: RuleSet) -> str:
     """Stable sha256 over the effective ruleset, for report attribution."""
-    payload = {section: getattr(rules, attr) for section, attr in _SECTIONS.items()}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(asdict(rules), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -4,6 +4,10 @@ Only the instruction families the detection rules consume are interpreted:
 ``invoke-*`` and ``const-string`` (including ``/jumbo``). Every other body
 line, ``new-instance`` included, is kept verbatim as an opaque instruction,
 so a parsed class can be rendered back without losing information.
+
+String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
+or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
+it stands.
 """
 
 from __future__ import annotations
@@ -125,63 +129,23 @@ _INVOKE_RE = re.compile(
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
 _METHOD_SIG_RE = re.compile(r"^([^\s(]+)(\([^)]*\)\S+)$")
 
-_UNESCAPE_MAP = {
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-    "n": "\n",
-    "t": "\t",
-    "r": "\r",
-    "b": "\b",
-    "f": "\f",
-    "0": "\0",
-}
-_ESCAPE_MAP = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\t": "\\t",
-    "\r": "\\r",
-    "\b": "\\b",
-    "\f": "\\f",
-}
+#: Smali's one-letter escapes: the letter after the backslash -> its character.
+_UNESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t",
+              "r": "\r", "b": "\b", "f": "\f", "0": "\0"}
+_UNESCAPE_RE = re.compile(r"""\\(u[0-9a-fA-F]{4}|["'\\ntrbf0])""")
+# Rendering writes NUL and the control characters without a letter as \uXXXX.
+_ESCAPES = {c: "\\" + letter for letter, c in _UNESCAPES.items() if letter != "0"}
+_ESCAPE_RE = re.compile(r'[\\"\x00-\x1f]')
 
 
 def _unescape_string(s: str) -> str:
     if "\\" not in s:
         return s
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            if nxt == "u" and i + 6 <= len(s):
-                try:
-                    out.append(chr(int(s[i + 2 : i + 6], 16)))
-                    i += 6
-                    continue
-                except ValueError:
-                    pass
-            if nxt in _UNESCAPE_MAP:
-                out.append(_UNESCAPE_MAP[nxt])
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[1]) or chr(int(m[1][1:], 16)), s)
 
 
 def _escape_string(s: str) -> str:
-    out: list[str] = []
-    for ch in s:
-        if ch in _ESCAPE_MAP:
-            out.append(_ESCAPE_MAP[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[0]) or f"\\u{ord(m[0]):04x}", s)
 
 
 def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
@@ -227,31 +191,26 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
     methods: list[MethodDef] = []
     seen_methods: set[tuple[str, str]] = set()
 
-    cur: tuple[list[str], str, str, int] | None = None  # flags, name, proto, line
-    body: list[Instruction] = []
+    cur: MethodDef | None = None  # the open method, declared at line cur_line
+    cur_line = 0
 
-    for idx, raw in enumerate(lines):
-        lineno = idx + 1
+    for lineno, raw in enumerate(lines, 1):
         stripped = raw.strip()
+        head = stripped.split(maxsplit=1)[0] if stripped else ""
 
         if cur is not None:
             if stripped == ".end method":
-                flags, name, proto, _ = cur
-                methods.append(MethodDef(descriptor or "", name, proto, flags, body))
+                methods.append(cur)
                 cur = None
-                body = []
-            elif stripped.split(maxsplit=1)[:1] == [".method"]:
+            elif head == ".method":
                 raise UnterminatedMethodError(
-                    f".method {cur[1]}{cur[2]} (line {cur[3]}) not closed before next .method",
+                    f".method {cur.name}{cur.proto} (line {cur_line}) not closed before next .method",
                     lineno,
                 )
             else:
-                body.append(_parse_instruction(raw, stripped, lineno))
+                cur.body.append(_parse_instruction(raw, stripped, lineno))
             continue
 
-        if not stripped:
-            continue
-        head = stripped.split(maxsplit=1)[0]
         if head == ".class":
             if descriptor is not None:
                 raise MalformedDirectiveError("duplicate .class directive", lineno)
@@ -276,16 +235,15 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
             if (name, proto) in seen_methods:
                 raise DuplicateMethodError(f"duplicate method {name}{proto}", lineno)
             seen_methods.add((name, proto))
-            cur = (flags, name, proto, lineno)
-            body = []
+            cur, cur_line = MethodDef(descriptor, name, proto, flags), lineno
         elif stripped == ".end method":
             raise MalformedDirectiveError(".end method outside a method", lineno)
-        else:
+        elif stripped:
             metadata.append(raw)
 
     if cur is not None:
         raise UnterminatedMethodError(
-            f".method {cur[1]}{cur[2]} has no matching .end method", cur[3]
+            f".method {cur.name}{cur.proto} has no matching .end method", cur_line
         )
     if descriptor is None:
         raise MalformedDirectiveError("no .class directive found", 1)
@@ -306,16 +264,17 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
 
-    paths = sorted(root.rglob(f"*{SMALI_EXTENSION}"), key=lambda p: p.relative_to(root).as_posix())
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob(f"*{SMALI_EXTENSION}"))
     classes: list[ClassDef] = []
     diagnostics: list[str] = []
     seen: dict[str, str] = {}
-    for path in paths:
-        rel = path.relative_to(root).as_posix()
+    for rel, path in files:
         try:
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
-            diagnostics.append(f"{rel}: unreadable: {exc}")
+            # An OSError's own text names the absolute path; the report names rel only.
+            reason = OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc
+            diagnostics.append(f"{rel}: unreadable: {reason}")
             continue
         try:
             cls = parse_class(text, source_file=rel)

@@ -88,7 +88,7 @@ def test_keyword_golden_table():
         "log", "cache", "files", "file", "data", "temp",
         "tmp", "account", "meta", "uid", "history",
     ]
-    ok = ok and rules.path_api_names == [
+    ok = ok and rules.path_apis == [
         "getExternalStorageDirectory",
         "getExternalStoragePublicDirectory",
         "getExternalFilesDir",

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 
 import jsonschema
 import pytest
@@ -338,6 +339,16 @@ class TestEmitReport:
         a = emit_report(scan(three_app_corpus), "json")
         b = emit_report(scan(three_app_corpus), "json")
         assert a == b
+
+    def test_report_bytes_independent_of_corpus_location(self, three_app_corpus, tmp_path):
+        # A directory named *.smali is an unreadable file whose diagnostic
+        # names it by its path inside the app, not by where the corpus lives.
+        (three_app_corpus / "app_ok1" / "X.smali").mkdir()
+        copy = shutil.copytree(three_app_corpus, tmp_path / "elsewhere" / "deeper")
+        for fmt in ("json", "text"):
+            assert emit_report(scan(copy), fmt) == emit_report(scan(three_app_corpus), fmt)
+        (row,) = [r for r in scan(copy).apps if r.app_id == "app_ok1"]
+        assert row.diagnostics == ["X.smali: unreadable: [Errno 21] Is a directory"]
 
     def test_unknown_format_rejected(self):
         report = CorpusReport(DetectorConfig(), [])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from storescan.rules import (
     match_keyword,
     ruleset_digest,
 )
-from storescan.smali_ir import Invoke, MethodDef, MethodRef, Opaque, StringConst
+from storescan.smali_ir import Invoke, MethodDef, MethodRef, Opaque, StringConst, parse_class
+
+from appgen import class_text, method_text
 
 
 class TestDefaultRuleset:
@@ -25,7 +29,7 @@ class TestDefaultRuleset:
         assert "uid" in default_ruleset().keywords
 
     def test_path_api_names_exact(self):
-        assert default_ruleset().path_api_names == [
+        assert default_ruleset().path_apis == [
             "getExternalStorageDirectory",
             "getExternalStoragePublicDirectory",
             "getExternalFilesDir",
@@ -35,7 +39,7 @@ class TestDefaultRuleset:
         ]
 
     def test_hardcoded_prefixes_exact(self):
-        assert default_ruleset().hardcoded_path_prefixes == ["/sdcard", "/sdcard0", "/sdcard1"]
+        assert default_ruleset().hardcoded_paths == ["/sdcard", "/sdcard0", "/sdcard1"]
 
     def test_write_sinks(self):
         sinks = default_ruleset().write_sinks
@@ -65,6 +69,14 @@ class TestDefaultRuleset:
             RuleSet(["LOG"], [""], [], [])
         with pytest.raises(RuleFormatError, match=r"^keywords must be lowercase$"):
             RuleSet(["LOG"], [], [], [("La;", "")])
+
+
+    def test_unmatchable_keyword_rejected(self):
+        with pytest.raises(RuleFormatError, match=r"^keyword 'my\.log' can never match: it contains "):
+            RuleSet(["log", "my.log"], [], [], [])
+        for kw in ["a/b", "a\\b", "a_b", "a-b", "a b"]:
+            with pytest.raises(RuleFormatError, match="can never match"):
+                RuleSet([kw], [], [], [])
 
 
 class TestMatchKeyword:
@@ -191,6 +203,14 @@ class TestMarkFunction:
         marks = mark_function(m, default_ruleset())
         assert [(h.keyword) for h in marks.keyword_hits] == ["log", "cache"]
 
+    def test_malformed_unicode_escape_is_no_keyword(self):
+        # "\u+06c" is not an escape, so the string holds no "log" token.
+        line = '    const-string v0, "/sdcard/\\u+06cog"'
+        (m,) = parse_class(class_text("La/B;", methods=[method_text("f", body=[line])])).methods
+        marks = mark_function(m, default_ruleset())
+        assert marks.keyword_hits == []
+        assert [h.evidence for h in marks.path_source_hits] == ["/sdcard/\\u+06cog"]
+
     def test_opaque_lines_never_match(self):
         m = method_with([Opaque('    const-string v0 "/user_log"', 1)])  # malformed, stays opaque
         marks = mark_function(m, default_ruleset())
@@ -217,8 +237,8 @@ class TestLoadRuleset:
         f.write_text("[keywords]\nsecret\n", encoding="utf-8")
         rs = load_ruleset(f)
         assert rs.keywords == ["secret"]
-        assert rs.path_api_names == default_ruleset().path_api_names
-        assert rs.hardcoded_path_prefixes == default_ruleset().hardcoded_path_prefixes
+        assert rs.path_apis == default_ruleset().path_apis
+        assert rs.hardcoded_paths == default_ruleset().hardcoded_paths
         assert rs.write_sinks == default_ruleset().write_sinks
 
     def test_empty_file_is_defaults(self, tmp_path):
@@ -264,6 +284,19 @@ class TestLoadRuleset:
         f = tmp_path / "rules.txt"
         f.write_text("[keywords]\nSeCreT\n", encoding="utf-8")
         assert load_ruleset(f).keywords == ["secret"]
+
+    def test_every_field_is_a_section(self, tmp_path):
+        f = tmp_path / "rules.txt"
+        f.write_text("".join(f"[{field.name}]\n" for field in fields(RuleSet)), encoding="utf-8")
+        assert load_ruleset(f) == RuleSet([], [], [], [])
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        text = "[keywords]\nsecret\n[write_sinks]\nLjava/io/File;::mkdir\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert ruleset_digest(load_ruleset(bom)) == ruleset_digest(load_ruleset(plain))
+        assert load_ruleset(bom).keywords == ["secret"]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -86,6 +86,13 @@ class TestParseClass:
         (m,) = parse_class(text).methods
         assert m.body == [StringConst('a"b\\c\nd' + "A")]
 
+    @pytest.mark.parametrize("escape", ["\\u+041", "\\u0x41", "\\u 041", "\\u0_41", "\\u-041", "\\u004"])
+    def test_unicode_escape_needs_four_hex_digits(self, escape):
+        # Anything but exactly four hex digits after \u is kept literally.
+        line = f'    const-string v0, "/sdcard/{escape}"'
+        (m,) = parse_class(class_text("Lcom/a/B;", methods=[method_text("f", body=[line])])).methods
+        assert m.body == [StringConst("/sdcard/" + escape)]
+
     def test_new_instance(self):
         text = class_text(
             "Lcom/a/B;",
