@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .callgraph import build_callgraph, edge_list_text
-from .detector import DetectionResult, DetectorConfig, Evidence, Finding, detect_app
+from .detector import DetectionResult, DetectorConfig, Evidence, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
 from .smali_ir import DuplicateClassError, parse_app_dir
 
@@ -79,39 +80,18 @@ def scan_corpus(
     return CorpusReport(config, results)
 
 
-def _category_rows(evidence: list[Evidence]) -> list[dict]:
-    rows = []
-    for e in evidence:
-        row: dict = {}
-        if isinstance(e.hit, KeywordHit):
-            row["value"] = e.hit.value
-            row["keyword"] = e.hit.keyword
-        elif isinstance(e.hit, PathSourceHit):
-            row["evidence"] = e.hit.evidence
-        else:
-            row["target"] = str(e.hit.target)
-        row["method"] = str(e.method)
-        row["line"] = e.hit.line
-        row["distance"] = e.distance
-        rows.append(row)
-    return rows
+def _evidence_row(e: Evidence) -> dict:
+    if isinstance(e.hit, KeywordHit):
+        row = {"value": e.hit.value, "keyword": e.hit.keyword}
+    elif isinstance(e.hit, PathSourceHit):
+        row = {"evidence": e.hit.evidence}
+    else:
+        row = {"target": str(e.hit.target)}
+    return {**row, "method": str(e.method), "line": e.hit.line, "distance": e.distance}
 
 
-def _finding_dict(f: Finding) -> dict:
-    return {
-        "seed": str(f.seed),
-        "categories": {
-            category: _category_rows(evidence)
-            for category, evidence in f.conditions._asdict().items()
-        },
-        "witness_chains": {
-            category: [str(k) for k in chain]
-            for category, chain in f.witness_chains.items()
-        },
-    }
-
-
-def report_to_dict(report: CorpusReport) -> dict:
+def _report_tree(report: CorpusReport, rows: Callable[[list[Evidence]], list]) -> dict:
+    """The report's one shape; ``rows`` makes each category's list from its evidence."""
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -124,44 +104,93 @@ def report_to_dict(report: CorpusReport) -> dict:
                 "app_id": r.app_id,
                 "flagged": r.flagged,
                 "diagnostics": list(r.diagnostics),
-                "findings": [_finding_dict(f) for f in r.findings],
+                "findings": [
+                    {
+                        "seed": str(f.seed),
+                        "categories": {c: rows(ev) for c, ev in f.conditions._asdict().items()},
+                        "witness_chains": {
+                            c: [str(k) for k in chain] for c, chain in f.witness_chains.items()
+                        },
+                    }
+                    for f in r.findings
+                ],
             }
             for r in report.apps
         ],
     }
 
 
-def _describe_hit(e: Evidence) -> str:
+def report_to_dict(report: CorpusReport) -> dict:
+    """The JSON report as data; ``emit_report`` writes it as ``json.dumps(indent=2)`` would."""
+    return _report_tree(report, lambda ev: [_evidence_row(e) for e in ev])
+
+
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, str]) -> list[str]:
+    """Append ``v`` to ``out`` as ``json.dumps(v, indent=2, ensure_ascii=False)`` writes it at
+    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif isinstance(v, Evidence):
+        text = rendered.get(v)
+        if text is None:
+            text = rendered[v] = "".join(_write_json(_evidence_row(v), pad, [], rendered))
+        out.append(text)
+    elif isinstance(v, int):
+        out.append(("true" if v else "false") if isinstance(v, bool) else int.__repr__(v))
+    elif isinstance(v, dict):
+        inner = pad + "  "
+        for i, (k, x) in enumerate(v.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out += (",\n" if i else "{\n", inner, _encode_str(k), ": ")
+            _write_json(x, inner, out, rendered)
+        out.append("\n" + pad + "}" if v else "{}")
+    elif isinstance(v, list):
+        inner = pad + "  "
+        for i, x in enumerate(v):
+            out += (",\n" if i else "[\n", inner)
+            _write_json(x, inner, out, rendered)
+        out.append("\n" + pad + "]" if v else "[]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return out
+
+
+def _text_row(category: str, e: Evidence) -> str:
     if isinstance(e.hit, KeywordHit):
-        return f'"{e.hit.value}" (keyword {e.hit.keyword})'
-    if isinstance(e.hit, PathSourceHit):
-        return e.hit.evidence
-    return str(e.hit.target)
+        hit = f'"{e.hit.value}" (keyword {e.hit.keyword})'
+    elif isinstance(e.hit, PathSourceHit):
+        hit = e.hit.evidence
+    else:
+        hit = str(e.hit.target)
+    return f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n"
 
 
 def _text_report(report: CorpusReport) -> str:
-    lines = [f"scanned={report.totals.apps_scanned} flagged={report.totals.apps_flagged}"]
+    text_row = functools.cache(_text_row)  # seeds share rows: render each distinct one once
+    lines = [f"scanned={report.totals.apps_scanned} flagged={report.totals.apps_flagged}\n"]
     for r in report.apps:
         if not r.flagged:
             continue
-        lines.append(f"app {r.app_id}: {len(r.findings)} finding(s)")
+        lines.append(f"app {r.app_id}: {len(r.findings)} finding(s)\n")
         for f in r.findings:
-            lines.append(f"  seed {f.seed}")
+            lines.append(f"  seed {f.seed}\n")
             for category, evidence in f.conditions._asdict().items():
-                for e in evidence:
-                    lines.append(
-                        f"    {category}: {_describe_hit(e)} in {e.method}"
-                        f" line {e.hit.line} distance {e.distance}"
-                    )
+                lines += (text_row(category, e) for e in evidence)
             for category, chain in f.witness_chains.items():
-                lines.append(f"    chain {category}: " + " -> ".join(map(str, chain)))
-    return "".join(line + "\n" for line in lines)
+                lines.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
+    return "".join(lines)
 
 
 def emit_report(report: CorpusReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports yield byte-identical output."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+        out = _write_json(_report_tree(report, list), "", [], {})
+        out.append("\n")
+        return "".join(out)
     if fmt == "text":
         return _text_report(report)
     raise ValueError(f"unknown report format {fmt!r}")

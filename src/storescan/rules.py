@@ -81,6 +81,11 @@ class RuleSet:
                         raise RuleFormatError(f"bad write_sink entry {pair!r}")
             elif any(not e for e in entries):
                 raise RuleFormatError(f"empty entry in {section}")
+            elif section == "hardcoded_paths":
+                for p in entries:
+                    if p.endswith("/"):  # _matches_hardcoded_prefix appends its own "/"
+                        raise RuleFormatError(
+                            f"hardcoded path {p!r} only matches itself: drop the trailing /")
             if len(set(entries)) != len(entries):
                 raise RuleFormatError(f"duplicate entry in {section}")
 

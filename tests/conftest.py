@@ -2,12 +2,26 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 from storescan.report import load_report_schema  # noqa: F401  (shared by test modules)
 
 from appgen import class_text, const_string_line, method_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Under CI (GitHub Actions sets it), property tests draw a fixed sequence of examples
+# and print a reproduction blob on failure, so a failure on one leg of the Python
+# matrix reproduces locally. Recent Hypothesis ships a "ci" profile of its own; this
+# one extends it, so its deadline and example count stay as they are.
+try:
+    _ci_parent = settings.get_profile("ci")
+except InvalidArgument:
+    _ci_parent = None
+settings.register_profile("ci", _ci_parent, derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def cli_env() -> dict[str, str]:

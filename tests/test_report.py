@@ -1,18 +1,21 @@
 import io
 import json
+import random
 import shutil
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from storescan import detector as detector_module
 from storescan import report as report_module
 from storescan.callgraph import build_callgraph
-from storescan.detector import DetectorConfig
+from storescan.detector import DetectorConfig, detect_app
 from storescan.report import CorpusReport, emit_report, report_to_dict, scan_corpus
 from storescan.rules import default_ruleset, ruleset_digest
 
-from appgen import class_text, const_string_line, invoke_line, method_text
+from appgen import class_text, const_string_line, invoke_line, method_text, random_instance
 from conftest import CLEAN_CLASS, load_report_schema
 
 
@@ -370,3 +373,55 @@ class TestEmitReport:
         assert kw["keyword"] == "log"
         assert kw["distance"] == 0
         assert finding["witness_chains"]["write_sink"] == ["Lfx/Vuln;->run()V"]
+
+
+def write_json(tree) -> str:
+    return "".join(report_module._write_json(tree, "", [], {}))
+
+
+# Characters json.dumps escapes or passes through specially, mixed with arbitrary text.
+json_strings = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029é€😀'), st.characters())
+)
+json_scalars = st.one_of(
+    json_strings,
+    st.integers(),
+    st.sampled_from([0, -1, 2**63, -(2**63) - 1, 10**100, -(10**300)]),
+    st.booleans(),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(json_trees)
+    @example([[], {}])
+    @example({"a": {}, "b": [[]], "": [{"c": []}]})
+    def test_matches_json_dumps(self, tree):
+        assert write_json(tree) == json.dumps(tree, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize(
+        "tree", [1.5, None, ("a", 1), [1, 2.0], {"a": None}, {"a": [("b",)]}, {1: "a"}]
+    )
+    def test_other_types_raise_type_error(self, tree):
+        # json.dumps would write a tuple as a list and coerce a non-str key; the
+        # report tree never holds either, so the writer refuses them.
+        with pytest.raises(TypeError):
+            write_json(tree)
+
+    def test_dense_report_matches_json_dumps_of_report_to_dict(self):
+        # Dense random apps at depth 6: many seeds reach the same evidence rows,
+        # which the writer renders once and splices in by reference.
+        rng = random.Random(83)
+        results = [detect_app(random_instance(rng).app, DetectorConfig(depth=6)) for _ in range(40)]
+        for i, r in enumerate(results):
+            r.app_id = f"app{i:02d}"
+        report = CorpusReport(DetectorConfig(depth=6), results)
+        rows = [e for r in results for f in r.findings for ev in f.conditions for e in ev]
+        assert len(rows) > 2 * len(set(rows)) > 300
+        expected = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+        assert emit_report(report, "json") == expected

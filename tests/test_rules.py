@@ -78,6 +78,20 @@ class TestDefaultRuleset:
             with pytest.raises(RuleFormatError, match="can never match"):
                 RuleSet([kw], [], [], [])
 
+    def test_hardcoded_path_with_trailing_slash_rejected(self, tmp_path):
+        # A match appends "/" to the entry, so "/sdcard/" would only ever match itself.
+        message = r"^hardcoded path '/sdcard/' only matches itself: drop the trailing /$"
+        with pytest.raises(RuleFormatError, match=message):
+            RuleSet([], [], ["/mnt/sdcard", "/sdcard/"], [])
+        with pytest.raises(RuleFormatError, match=r"^hardcoded path '/' only matches itself"):
+            RuleSet([], [], ["/"], [])
+        with pytest.raises(RuleFormatError, match=r"^empty entry in hardcoded_paths$"):
+            RuleSet([], [], ["/sdcard/", ""], [])
+        path = tmp_path / "rules.txt"
+        path.write_text("[hardcoded_paths]\n/sdcard/\n", encoding="utf-8")
+        with pytest.raises(RuleFormatError, match=message):
+            load_ruleset(path)
+
 
 class TestMatchKeyword:
     @pytest.mark.parametrize(
