@@ -1,8 +1,14 @@
-"""Corpus scanning and report serialization."""
+"""Corpus scanning and report serialization.
+
+``scan_corpus`` pauses the cyclic garbage collector. A scan builds no reference
+cycles (``tests/test_report.py::TestNoCycles`` pins this), so reference counting
+frees each app as the next replaces it; the collector's passes would only re-walk it.
+"""
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -12,7 +18,7 @@ from typing import Callable, NamedTuple, TextIO
 from .callgraph import build_callgraph, edge_list_text
 from .detector import DetectionResult, DetectorConfig, Evidence, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
-from .smali_ir import DuplicateClassError, parse_app_dir
+from .smali_ir import DuplicateClassError, _escape_string, parse_app_dir
 
 SCHEMA_VERSION = "1"
 SCHEMA_FILENAME = "report_schema.json"
@@ -63,20 +69,26 @@ def scan_corpus(
         raise NotADirectoryError(f"not a directory: {root}")
 
     results: list[DetectionResult] = []
-    for app_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        app_id = app_dir.name
-        try:
-            app, diagnostics = parse_app_dir(app_dir, app_id)
-        except (DuplicateClassError, OSError) as exc:
-            results.append(DetectionResult(app_id, [], [f"app not scanned: {exc}"]))
-            continue
-        graph = None
-        if graph_sink is not None:
-            graph = build_callgraph(app)
-            graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
-        result = detect_app(app, config, graph=graph)
-        result.diagnostics = diagnostics
-        results.append(result)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # nothing below makes a cycle; see the module docstring
+    try:
+        for app_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+            app_id = app_dir.name
+            try:
+                app, diagnostics = parse_app_dir(app_dir, app_id)
+            except (DuplicateClassError, OSError) as exc:
+                results.append(DetectionResult(app_id, [], [f"app not scanned: {exc}"]))
+                continue
+            graph = None
+            if graph_sink is not None:
+                graph = build_callgraph(app)
+                graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
+            result = detect_app(app, config, graph=graph)
+            result.diagnostics = diagnostics
+            results.append(result)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return CorpusReport(config, results)
 
 
@@ -160,10 +172,11 @@ def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, st
 
 
 def _text_row(category: str, e: Evidence) -> str:
+    # Constants (and app ids) are escaped as in smali source, so none can start a line.
     if isinstance(e.hit, KeywordHit):
-        hit = f'"{e.hit.value}" (keyword {e.hit.keyword})'
+        hit = f'"{_escape_string(e.hit.value)}" (keyword {e.hit.keyword})'
     elif isinstance(e.hit, PathSourceHit):
-        hit = e.hit.evidence
+        hit = _escape_string(e.hit.evidence)
     else:
         hit = str(e.hit.target)
     return f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n"
@@ -175,7 +188,7 @@ def _text_report(report: CorpusReport) -> str:
     for r in report.apps:
         if not r.flagged:
             continue
-        lines.append(f"app {r.app_id}: {len(r.findings)} finding(s)\n")
+        lines.append(f"app {_escape_string(r.app_id)}: {len(r.findings)} finding(s)\n")
         for f in r.findings:
             lines.append(f"  seed {f.seed}\n")
             for category, evidence in f.conditions._asdict().items():

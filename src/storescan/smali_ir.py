@@ -62,7 +62,7 @@ class MethodRef(NamedTuple):
 # structural comparison survives re-rendering.
 
 
-@dataclass
+@dataclass(slots=True)
 class Invoke:
     kind: str  # virtual | super | direct | static | interface
     target: MethodRef
@@ -70,14 +70,14 @@ class Invoke:
     raw_line: str | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class StringConst:
     value: str
     source_line: int = field(default=0, compare=False)
     raw_line: str | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Opaque:
     """Any body line we do not interpret, kept byte-for-byte."""
 
@@ -88,7 +88,7 @@ class Opaque:
 Instruction = Invoke | StringConst | Opaque
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDef:
     owner: str
     name: str
@@ -101,7 +101,7 @@ class MethodDef:
         return MethodRef(self.owner, self.name, self.proto)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDef:
     descriptor: str
     super_descriptor: str = ""
@@ -113,7 +113,7 @@ class ClassDef:
     source_file: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class AppModel:
     """One app's parsed classes; ``app_id`` is corpus-unique."""
 
@@ -196,7 +196,8 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
 
     for lineno, raw in enumerate(lines, 1):
         stripped = raw.strip()
-        head = stripped.split(maxsplit=1)[0] if stripped else ""
+        # Directives and ".end method" start with "."; other lines need no head token.
+        head = stripped.split(maxsplit=1)[0] if stripped.startswith(".") else ""
 
         if cur is not None:
             if stripped == ".end method":
@@ -273,7 +274,8 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             # An OSError's own text names the absolute path; the report names rel only.
-            reason = OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc
+            # A str, since an exception kept in a local would cycle through this frame.
+            reason = str(OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc)
             diagnostics.append(f"{rel}: unreadable: {reason}")
             continue
         try:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -14,9 +15,10 @@ from storescan.callgraph import build_callgraph
 from storescan.detector import DetectorConfig, detect_app
 from storescan.report import CorpusReport, emit_report, report_to_dict, scan_corpus
 from storescan.rules import default_ruleset, ruleset_digest
+from storescan.smali_ir import parse_app_dir, render_class
 
 from appgen import class_text, const_string_line, invoke_line, method_text, random_instance
-from conftest import CLEAN_CLASS, load_report_schema
+from conftest import CLEAN_CLASS, VULN_CLASS, load_report_schema
 
 
 GOLDEN_TEXT = """\
@@ -305,6 +307,100 @@ class TestScanCorpus:
         assert sink.getvalue() == GOLDEN_CALLGRAPH
 
 
+def _scan_and_emit(root, depth=3):
+    # Every locally built object, the report included, is dropped on return.
+    report = scan(root, depth, graph_sink=io.StringIO())
+    for fmt in ("json", "text"):
+        emit_report(report, fmt)
+
+
+def unreachable_after(work) -> int:
+    """Objects the cyclic collector finds unreachable after ``work`` ran with it off,
+    i.e. garbage that reference counting alone could not free."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def every_path_corpus(chain_corpus):
+    """chain_corpus (vulnerable, clean and multi-hop apps) plus an app with one
+    file per kind of diagnostic and an app with a class in two dex directories."""
+    faults = chain_corpus / "app_faults"
+    faults.mkdir()
+    (faults / "A.smali").write_text(CLEAN_CLASS, encoding="utf-8")
+    for name, content in [
+        ("Unterminated", b".class Lz/U;\n.method f()V\n"),
+        ("MethodFirst", b".method f()V\n.end method\n"),
+        ("BadDescriptor", b".class public bad\n"),
+        ("StrayEnd", b".class Lz/E;\n.end method\n"),
+        ("NonUtf8", b".class Lz/N;\n\xff\xfe\n"),
+    ]:
+        (faults / f"{name}.smali").write_bytes(content)
+    (faults / "B.smali").mkdir()
+    (faults / "loop").symlink_to(faults, target_is_directory=True)
+    for dex in ("smali", "smali_classes2"):
+        (chain_corpus / "app_multidex" / dex).mkdir(parents=True)
+        (chain_corpus / "app_multidex" / dex / "A.smali").write_text(VULN_CLASS, encoding="utf-8")
+    return chain_corpus
+
+
+class TestNoCycles:
+    """``scan_corpus`` pauses the cyclic collector, which is safe only while a scan
+    and its reports build no reference cycles: any cycle would then outlive its app."""
+
+    def test_every_scan_path_leaves_no_cyclic_garbage(self, every_path_corpus):
+        report = scan(every_path_corpus)
+        rows = {r.app_id: r for r in report.apps}
+        assert [r.app_id for r in report.apps if r.flagged] == ["app_bad", "app_chain"]
+        assert len(rows["app_faults"].diagnostics) == 6
+        assert rows["app_multidex"].diagnostics[0].startswith("app not scanned: class Lfx/Vuln;")
+        assert unreachable_after(lambda: _scan_and_emit(every_path_corpus)) == 0
+
+    def test_dense_apps_leave_no_cyclic_garbage(self, tmp_path):
+        rng = random.Random(89)
+        for i in range(6):
+            for cls in random_instance(rng).app.classes:
+                path = tmp_path / f"rand{i}" / cls.source_file
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(render_class(cls), encoding="utf-8")
+        assert sum(r.flagged for r in scan(tmp_path, 6).apps) >= 2
+        assert unreachable_after(lambda: _scan_and_emit(tmp_path, 6)) == 0
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
+    def test_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
+        during = []
+
+        def parse(app_dir, app_id):
+            during.append(gc.isenabled())
+            if fails and len(during) == 2:
+                raise RuntimeError("parser crashed")
+            return parse_app_dir(app_dir, app_id)
+
+        monkeypatch.setattr(report_module, "parse_app_dir", parse)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(RuntimeError):
+                    scan(chain_corpus)
+            else:
+                scan(chain_corpus)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during and not any(during)
+
+
 class TestEmitReport:
     def test_empty_report_json(self):
         report = CorpusReport(DetectorConfig(), [])
@@ -352,6 +448,28 @@ class TestEmitReport:
             assert emit_report(scan(copy), fmt) == emit_report(scan(three_app_corpus), fmt)
         (row,) = [r for r in scan(copy).apps if r.app_id == "app_ok1"]
         assert row.diagnostics == ["X.smali: unreadable: [Errno 21] Is a directory"]
+
+    def test_text_report_escapes_strings_and_app_ids(self, tmp_path):
+        # A constant or a directory name holding a newline must not start a line
+        # of its own, such as a forged "app ..." header.
+        forged = "/sdcard/x\\napp evil: 9 finding(s)\\n/user_log"  # smali source escapes
+        vuln = class_text(
+            "Lfx/Forge;",
+            methods=[method_text("run", body=[
+                const_string_line(forged),
+                "    invoke-direct {v1, v0}, Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V",
+            ])],
+        )
+        (tmp_path / "odd\nid").mkdir()
+        (tmp_path / "odd\nid" / "Forge.smali").write_text(vuln, encoding="utf-8")
+        report = scan(tmp_path)
+        text = emit_report(report, "text")
+        assert [l for l in text.splitlines() if l.startswith("app ")] == ["app odd\\nid: 1 finding(s)"]
+        assert f'    keyword: "{forged}" (keyword log) in Lfx/Forge;->run()V' in text
+        assert f"    path_source: {forged} in Lfx/Forge;->run()V" in text
+        (app,) = json.loads(emit_report(report, "json"))["apps"]
+        assert app["app_id"] == "odd\nid"
+        assert app["findings"][0]["categories"]["keyword"][0]["value"] == forged.replace("\\n", "\n")
 
     def test_unknown_format_rejected(self):
         report = CorpusReport(DetectorConfig(), [])
