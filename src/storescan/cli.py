@@ -47,7 +47,7 @@ def main():
 @click.option(
     "--depth",
     type=click.IntRange(min=1),
-    default=3,
+    default=DetectorConfig.depth,
     show_default=True,
     help="Call-chain depth bound.",
 )
@@ -89,12 +89,15 @@ def scan(corpus_root, depth, rules_file, fmt, output, fail_on_detect, dump_callg
         sys.exit(2)
     config = DetectorConfig(depth=depth, rules=rules)
 
-    graph_sink = click.get_text_stream("stderr") if dump_callgraph else None
+    # sys.stderr writes a lone surrogate as \uXXXX; click's stderr wrapper raises.
+    graph_sink = sys.stderr if dump_callgraph else None
     try:
         report = scan_corpus(corpus_root, config, graph_sink=graph_sink)
-        rendered = emit_report(report, fmt)
+        # A lone surrogate (an unpaired dex string escape, or an app directory name
+        # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
+        rendered = emit_report(report, fmt).encode("utf-8", "backslashreplace")
         if output is not None:
-            output.write_text(rendered, encoding="utf-8")
+            output.write_bytes(rendered)
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

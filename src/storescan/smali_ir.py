@@ -47,8 +47,8 @@ class DuplicateClassError(Exception):
 
 
 class MethodRef(NamedTuple):
-    """Identity of a method: owner descriptor, method name, smali proto. Both
-    invoke targets and defined methods (``MethodDef.key``) are ``MethodRef``s."""
+    """Identity of a method: owner descriptor, method name, smali proto. Invoke
+    targets are ``MethodRef``s, and each ``MethodDef`` holds its own as ``key``."""
 
     class_descriptor: str
     name: str
@@ -90,15 +90,9 @@ Instruction = Invoke | StringConst | Opaque
 
 @dataclass(slots=True)
 class MethodDef:
-    owner: str
-    name: str
-    proto: str
+    key: MethodRef
     flags: list[str] = field(default_factory=list)
     body: list[Instruction] = field(default_factory=list)
-
-    @property
-    def key(self) -> MethodRef:
-        return MethodRef(self.owner, self.name, self.proto)
 
 
 @dataclass(slots=True)
@@ -164,14 +158,15 @@ def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
     return Opaque(raw, lineno)
 
 
-def _parse_method_directive(stripped: str, lineno: int) -> tuple[list[str], str, str]:
+def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) -> tuple[list[str], re.Match]:
+    """Split a `.class` or `.method` line into its flags and the match of its last token."""
     tokens = stripped.split()
     if len(tokens) < 2:
-        raise MalformedDirectiveError("missing method signature in .method", lineno)
-    sig = _METHOD_SIG_RE.match(tokens[-1])
-    if not sig:
-        raise MalformedDirectiveError(f"bad method signature {tokens[-1]!r}", lineno)
-    return tokens[1:-1], sig.group(1), sig.group(2)
+        raise MalformedDirectiveError(f"missing {what} in {tokens[0]}", lineno)
+    m = grammar.match(tokens[-1])
+    if not m:
+        raise MalformedDirectiveError(f"bad {what} {tokens[-1]!r}", lineno)
+    return tokens[1:-1], m
 
 
 def parse_class(text: str, source_file: str = "") -> ClassDef:
@@ -189,7 +184,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
     class_flags: list[str] = []
     metadata: list[str] = []
     methods: list[MethodDef] = []
-    seen_methods: set[tuple[str, str]] = set()
+    seen_methods: set[MethodRef] = set()
 
     cur: MethodDef | None = None  # the open method, declared at line cur_line
     cur_line = 0
@@ -205,7 +200,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
                 cur = None
             elif head == ".method":
                 raise UnterminatedMethodError(
-                    f".method {cur.name}{cur.proto} (line {cur_line}) not closed before next .method",
+                    f".method {cur.key.name}{cur.key.proto} (line {cur_line}) not closed before next .method",
                     lineno,
                 )
             else:
@@ -215,13 +210,8 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         if head == ".class":
             if descriptor is not None:
                 raise MalformedDirectiveError("duplicate .class directive", lineno)
-            tokens = stripped.split()
-            if len(tokens) < 2:
-                raise MalformedDirectiveError("missing class descriptor in .class", lineno)
-            if not _CLASS_DESC_RE.match(tokens[-1]):
-                raise MalformedDirectiveError(f"bad class descriptor {tokens[-1]!r}", lineno)
-            descriptor = tokens[-1]
-            class_flags = tokens[1:-1]
+            class_flags, m = _parse_header(stripped, lineno, _CLASS_DESC_RE, "class descriptor")
+            descriptor = m[0]
         elif head == ".super":
             tokens = stripped.split()
             if len(tokens) != 2 or not _CLASS_DESC_RE.match(tokens[1]):
@@ -232,11 +222,12 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         elif head == ".method":
             if descriptor is None:
                 raise MalformedDirectiveError(".method before .class", lineno)
-            flags, name, proto = _parse_method_directive(stripped, lineno)
-            if (name, proto) in seen_methods:
-                raise DuplicateMethodError(f"duplicate method {name}{proto}", lineno)
-            seen_methods.add((name, proto))
-            cur, cur_line = MethodDef(descriptor, name, proto, flags), lineno
+            flags, m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
+            key = MethodRef(descriptor, *m.groups())
+            if key in seen_methods:
+                raise DuplicateMethodError(f"duplicate method {key.name}{key.proto}", lineno)
+            seen_methods.add(key)
+            cur, cur_line = MethodDef(key, flags), lineno
         elif stripped == ".end method":
             raise MalformedDirectiveError(".end method outside a method", lineno)
         elif stripped:
@@ -244,7 +235,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
 
     if cur is not None:
         raise UnterminatedMethodError(
-            f".method {cur.name}{cur.proto} has no matching .end method", cur_line
+            f".method {cur.key.name}{cur.key.proto} has no matching .end method", cur_line
         )
     if descriptor is None:
         raise MalformedDirectiveError("no .class directive found", 1)
@@ -293,8 +284,6 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
 
 
 def _render_instruction(ins: Instruction) -> str:
-    if isinstance(ins, Opaque):
-        return ins.raw_line
     if ins.raw_line is not None:
         return ins.raw_line
     if isinstance(ins, Invoke):
@@ -310,7 +299,7 @@ def render_class(cls: ClassDef) -> str:
     parts.extend(cls.metadata)
     for m in cls.methods:
         parts.append("")
-        parts.append(" ".join([".method", *m.flags, f"{m.name}{m.proto}"]))
+        parts.append(" ".join([".method", *m.flags, f"{m.key.name}{m.key.proto}"]))
         parts.extend(_render_instruction(ins) for ins in m.body)
         parts.append(".end method")
     return "\n".join(parts) + "\n"

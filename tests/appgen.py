@@ -300,7 +300,7 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
         for callee in adjacency[j]:
             co, cn, cp = keys[callee]
             body.append(Invoke("static", MethodRef(co, cn, cp)))
-        classes.setdefault(owner, []).append(MethodDef(owner, name, proto, ["public", "static"], body))
+        classes.setdefault(owner, []).append(MethodDef(MethodRef(owner, name, proto), ["public", "static"], body))
 
     class_defs = [
         ClassDef(owner, "Ljava/lang/Object;", ["public"], [], methods, f"{owner}.smali")

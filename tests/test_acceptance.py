@@ -138,7 +138,7 @@ def test_cli_contract(three_app_corpus, tmp_path):
         return subprocess.run(
             [sys.executable, "-m", "storescan", *args],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env=cli_env(),
         )
 

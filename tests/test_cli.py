@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
+from storescan.detector import DetectorConfig
+
+from appgen import class_text, const_string_line, invoke_line, method_text
 from conftest import cli_env, load_report_schema
 
 
@@ -12,7 +17,7 @@ def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "storescan", *args],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=cli_env(),
         **kwargs,
     )
@@ -97,8 +102,6 @@ class TestOutputs:
     def test_depth_changes_outcome(self, tmp_path):
         # Chain app: marks complete only two hops out, so depth 3 flags it
         # and depth 1 does not.
-        from appgen import class_text, const_string_line, invoke_line, method_text
-
         root = tmp_path / "corpus"
         (root / "chain").mkdir(parents=True)
         main = class_text(
@@ -142,11 +145,77 @@ class TestOutputs:
         assert payload["totals"]["apps_flagged"] == 0
 
     def test_help_exits_zero(self):
-        assert run_cli("scan", "--help").returncode == 0
+        scan_help = run_cli("scan", "--help")
+        assert scan_help.returncode == 0
         assert run_cli("--help").returncode == 0
+        # The --depth default is DetectorConfig's.
+        assert DetectorConfig.depth == 3
+        assert "Call-chain depth bound. [default: 3;" in " ".join(scan_help.stdout.split())
 
     def test_version_exits_zero(self):
         # Works from a source checkout too, where no package metadata exists.
         proc = run_cli("--version")
         assert proc.returncode == 0, proc.stderr
         assert re.fullmatch(r"storescan, version (\S+|unknown \(not installed\))\n", proc.stdout)
+
+
+class TestLoneSurrogates:
+    """A string no UTF-8 encoder accepts is written as \\uXXXX: the same bytes on
+    stdout and in --output, whatever the locale, and exit status 0."""
+
+    LOCALES = [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}]
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        # An unpaired surrogate in a keyword-and-path string, in an app whose
+        # directory name is not UTF-8 (decoded with surrogateescape as bad\udcff).
+        vuln = class_text(
+            "Lsu/V;",
+            methods=[
+                method_text(
+                    "run",
+                    body=[
+                        const_string_line("/sdcard/user_log/\\ud800"),
+                        "    invoke-direct {v1, v0}, Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V",
+                    ],
+                )
+            ],
+        )
+        app = tmp_path / "corpus" / os.fsdecode(b"bad\xff")
+        app.mkdir(parents=True)
+        (app / "V.smali").write_text(vuln, encoding="utf-8")
+        return tmp_path / "corpus"
+
+    def _scan(self, corpus, env, *args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "storescan", "scan", str(corpus), *args],
+            capture_output=True,
+            env={**cli_env(), **env},
+        )
+        # A crash exits 1, which --fail-on-detect reads as "flagged".
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("env", LOCALES)
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stdout_equals_output_file(self, corpus, tmp_path, env, fmt):
+        out = tmp_path / "report"
+        to_file = self._scan(corpus, env, "--format", fmt, "--output", str(out))
+        assert to_file.stdout == to_file.stderr == b""
+        assert self._scan(corpus, env, "--format", fmt).stdout == out.read_bytes()
+
+    def test_json_round_trips_the_surrogates(self, corpus):
+        payload = json.loads(self._scan(corpus, {}).stdout.decode("utf-8"))
+        app = payload["apps"][0]
+        assert app["app_id"] == "bad\udcff"
+        assert app["findings"][0]["categories"]["keyword"][0]["value"] == "/sdcard/user_log/\ud800"
+
+    @pytest.mark.parametrize("env", LOCALES)
+    def test_dump_callgraph_shows_escapes(self, corpus, env):
+        stderr = self._scan(corpus, env, "--dump-callgraph").stderr
+        assert stderr.startswith(b"# callgraph bad\\udcff\n")
+
+    def test_text_shows_escapes(self, corpus):
+        text = self._scan(corpus, {"LC_ALL": "C"}, "--format", "text").stdout.decode("ascii")
+        assert "app bad\\udcff: 1 finding(s)" in text
+        assert 'keyword: "/sdcard/user_log/\\ud800"' in text

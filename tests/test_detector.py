@@ -36,7 +36,7 @@ def make_app(layout: dict[str, tuple[list, list[str]]]) -> AppModel:
     for name, (mark_ins, callees) in layout.items():
         body = list(mark_ins)
         body.extend(Invoke("static", MethodRef(OWNER, c, "()V")) for c in callees)
-        methods.append(MethodDef(OWNER, name, "()V", [], body))
+        methods.append(MethodDef(MethodRef(OWNER, name, "()V"), [], body))
     return AppModel("app", [ClassDef(OWNER, "Ljava/lang/Object;", [], [], methods)])
 
 

@@ -141,7 +141,7 @@ class TestMatchKeyword:
 
 
 def method_with(body) -> MethodDef:
-    return MethodDef("La/A;", "f", "()V", [], body)
+    return MethodDef(MethodRef("La/A;", "f", "()V"), [], body)
 
 
 class TestMarkFunction:

@@ -164,24 +164,40 @@ class TestParseClass:
             "# a comment",
         ]
 
+    # Diagnostics are report bytes ("rel: message"), so their full text is pinned.
+
     def test_unterminated_method(self):
-        with pytest.raises(UnterminatedMethodError):
+        with pytest.raises(UnterminatedMethodError) as exc:
             parse_class(".class Lcom/a/B;\n.method foo()V")
+        assert str(exc.value) == "line 2: .method foo()V has no matching .end method"
 
     def test_nested_method_reports_unterminated(self):
         text = ".class La/B;\n.method f()V\n.method g()V\n.end method\n"
-        with pytest.raises(UnterminatedMethodError):
+        with pytest.raises(UnterminatedMethodError) as exc:
             parse_class(text)
+        assert str(exc.value) == "line 3: .method f()V (line 2) not closed before next .method"
 
     def test_malformed_class_directive_has_line(self):
         with pytest.raises(MalformedDirectiveError) as exc:
             parse_class(".class NotADescriptor\n")
         assert exc.value.line == 1
+        assert str(exc.value) == "line 1: bad class descriptor 'NotADescriptor'"
+
+    def test_missing_class_descriptor(self):
+        with pytest.raises(MalformedDirectiveError) as exc:
+            parse_class("# header\n.class\n")
+        assert str(exc.value) == "line 2: missing class descriptor in .class"
 
     def test_malformed_method_signature(self):
         with pytest.raises(MalformedDirectiveError) as exc:
             parse_class(".class La/B;\n.super Ljava/lang/Object;\n.method public broken\n.end method\n")
         assert exc.value.line == 3
+        assert str(exc.value) == "line 3: bad method signature 'broken'"
+
+    def test_missing_method_signature(self):
+        with pytest.raises(MalformedDirectiveError) as exc:
+            parse_class(".class La/B;\n.method\n.end method\n")
+        assert str(exc.value) == "line 2: missing method signature in .method"
 
     def test_missing_class_directive(self):
         with pytest.raises(MalformedDirectiveError):
@@ -209,7 +225,7 @@ class TestParseClass:
     def test_owner_is_set_from_class(self):
         text = class_text("Lcom/a/B;", methods=[method_text("f", body=[])])
         cls = parse_class(text, source_file="com/a/B.smali")
-        assert cls.methods[0].owner == "Lcom/a/B;"
+        assert cls.methods[0].key.class_descriptor == "Lcom/a/B;"
         assert cls.methods[0].key == ("Lcom/a/B;", "f", "()V")
         assert cls.source_file == "com/a/B.smali"
 
@@ -258,7 +274,7 @@ def class_defs(draw) -> ClassDef:
     desc = draw(_CLASS_DESC)
     signatures = draw(st.lists(st.tuples(_METHOD_NAME, _PROTO), max_size=4, unique=True))
     methods = [
-        MethodDef(desc, name, proto, draw(_METHOD_FLAGS), draw(st.lists(_INSTRUCTION, max_size=8)))
+        MethodDef(MethodRef(desc, name, proto), draw(_METHOD_FLAGS), draw(st.lists(_INSTRUCTION, max_size=8)))
         for name, proto in signatures
     ]
     return ClassDef(
@@ -306,9 +322,7 @@ class TestRenderRoundTrip:
             "Ljava/lang/Object;",
             methods=[
                 MethodDef(
-                    "Lsyn/A;",
-                    "f",
-                    "()V",
+                    MethodRef("Lsyn/A;", "f", "()V"),
                     ["public"],
                     [
                         Invoke("static", MethodRef("Lsyn/B;", "g", "()V")),
@@ -327,7 +341,7 @@ class TestRenderRoundTrip:
         cls = ClassDef(
             "Lsyn/S;",
             "Ljava/lang/Object;",
-            methods=[MethodDef("Lsyn/S;", "f", "()V", [], [StringConst(value)])],
+            methods=[MethodDef(MethodRef("Lsyn/S;", "f", "()V"), [], [StringConst(value)])],
         )
         reparsed = parse_class(render_class(cls))
         assert reparsed.methods[0].body == [StringConst(value)]
