@@ -9,7 +9,6 @@ The package root exports the documented entry points and the error types
 callers catch; everything else is imported from its submodule.
 """
 
-from .callgraph import UnknownNodeError
 from .detector import DetectorConfig, detect_app
 from .rules import RuleFormatError
 from .smali_ir import DuplicateClassError, SmaliParseError, parse_app_dir
@@ -19,7 +18,6 @@ __all__ = [
     "DuplicateClassError",
     "RuleFormatError",
     "SmaliParseError",
-    "UnknownNodeError",
     "detect_app",
     "parse_app_dir",
 ]

@@ -1,4 +1,4 @@
-"""App-internal call graph and bounded reachability queries."""
+"""App-internal call graph."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from .smali_ir import AppModel, Invoke, MethodRef
-
-
-class UnknownNodeError(Exception):
-    """Query seed is not a method defined in the graph's app."""
 
 
 @dataclass
@@ -37,27 +33,6 @@ def build_callgraph(app: AppModel) -> CallGraph:
         targets = (ins.target for ins in m.body if isinstance(ins, Invoke))
         edges[m.key] = list(dict.fromkeys(t for t in targets if t in defined))
     return CallGraph(edges)
-
-
-def distances_within(g: CallGraph, seed: MethodRef, k: int) -> dict[MethodRef, int]:
-    """Shortest call distance from ``seed`` for every node within ``k`` edges."""
-    if seed not in g.edges:
-        raise UnknownNodeError(f"unknown method {MethodRef(*seed)}")
-    if k < 0:
-        raise ValueError("hop bound must be >= 0")
-    dist = {seed: 0}
-    frontier = [seed]
-    for hop in range(1, k + 1):
-        nxt = []
-        for node in frontier:
-            for callee in g.edges[node]:
-                if callee not in dist:
-                    dist[callee] = hop
-                    nxt.append(callee)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
 
 
 def edge_list_text(g: CallGraph) -> str:

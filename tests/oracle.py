@@ -1,9 +1,63 @@
-"""Independent brute-force oracles, deliberately built on networkx rather
-than the package's own graph code."""
+"""Reference implementations that the package's kernels are checked against.
+
+The brute-force oracles are deliberately built on networkx rather than the
+package's own graph code. ``accumulate`` is the plain per-seed evidence
+search over ``distances_within``: ``detect_app`` must report, for every seed
+it flags, exactly the evidence ``accumulate`` finds.
+"""
 
 from __future__ import annotations
 
 import networkx as nx
+
+from storescan.callgraph import CallGraph
+from storescan.detector import ConditionSet, Evidence
+from storescan.rules import MarkSet
+from storescan.smali_ir import MethodRef
+
+
+class UnknownNodeError(Exception):
+    """Query seed is not a method defined in the graph's app."""
+
+
+def distances_within(g: CallGraph, seed: MethodRef, k: int) -> dict[MethodRef, int]:
+    """Shortest call distance from ``seed`` for every node within ``k`` edges."""
+    if seed not in g.edges:
+        raise UnknownNodeError(f"unknown method {MethodRef(*seed)}")
+    if k < 0:
+        raise ValueError("hop bound must be >= 0")
+    dist = {seed: 0}
+    frontier = [seed]
+    for hop in range(1, k + 1):
+        nxt = []
+        for node in frontier:
+            for callee in g.edges[node]:
+                if callee not in dist:
+                    dist[callee] = hop
+                    nxt.append(callee)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
+
+
+def accumulate(
+    seed: MethodRef,
+    g: CallGraph,
+    marks: dict[MethodRef, MarkSet],
+    depth: int,
+) -> ConditionSet:
+    """Union the marks of every method within ``depth - 1`` call edges of seed.
+
+    The result is fresh per seed; evidence is ordered by (distance, method)
+    and then by source order within a method.
+    """
+    dist = distances_within(g, seed, depth - 1)
+    nodes = sorted((d, n) for n, d in dist.items() if any(marks[n]))
+    return ConditionSet._make(
+        [Evidence(n, h, d) for d, n in nodes for h in marks[n][i]]
+        for i in range(len(ConditionSet._fields))
+    )
 
 
 def _digraph(adjacency: dict) -> nx.DiGraph:

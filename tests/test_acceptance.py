@@ -11,14 +11,14 @@ import time
 import jsonschema
 
 from storescan.callgraph import build_callgraph
-from storescan.detector import DetectorConfig, accumulate, detect_app
+from storescan.detector import DetectorConfig, detect_app
 from storescan.report import scan_corpus
 from storescan.rules import default_ruleset, mark_function, match_keyword
 from storescan.smali_ir import parse_class, render_class
 
 from appgen import fixture_classes, planted_corpus, random_instance, write_corpus
 from conftest import cli_env, load_report_schema
-from oracle import flagged_oracle
+from oracle import accumulate, flagged_oracle
 
 
 def check(name: str, ok: bool, detail: str = ""):

@@ -2,16 +2,11 @@ import random
 
 import pytest
 
-from storescan.callgraph import (
-    UnknownNodeError,
-    build_callgraph,
-    distances_within,
-    edge_list_text,
-)
+from storescan.callgraph import build_callgraph, edge_list_text
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef
 
 from appgen import random_instance
-from oracle import reachable_oracle
+from oracle import UnknownNodeError, distances_within, reachable_oracle
 
 
 def app_from_adjacency(adjacency: dict[str, list[str]]) -> AppModel:

@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from storescan import detector
-from storescan.callgraph import CallGraph, UnknownNodeError, build_callgraph
-from storescan.detector import ConditionSet, DetectorConfig, _covering_seeds, accumulate, detect_app
+from storescan.callgraph import CallGraph, build_callgraph
+from storescan.detector import ConditionSet, DetectorConfig, Evidence, _covering_seeds, detect_app
 from storescan.report import CorpusReport, emit_report, load_report_schema
 from storescan.rules import (
     KeywordHit,
@@ -19,7 +20,14 @@ from storescan.rules import (
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
 
 from appgen import random_instance
-from oracle import evidence_oracle, flagged_oracle, satisfying_seeds_oracle, witness_chain_oracle
+from oracle import (
+    UnknownNodeError,
+    accumulate,
+    evidence_oracle,
+    flagged_oracle,
+    satisfying_seeds_oracle,
+    witness_chain_oracle,
+)
 
 OWNER = "Ld/D;"
 
@@ -238,23 +246,80 @@ class TestCoveringSeeds:
             got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
             assert got == node[:2] and g.edges.passes == passes
 
-    def test_detect_app_accumulates_only_reported_seeds(self, monkeypatch):
-        calls = []
 
-        def counting(seed, *args):
-            calls.append(seed)
-            return accumulate(seed, *args)
+class TestEvidenceKernel:
+    """``detect_app``'s one-BFS-per-finding kernel against the per-seed
+    reference ``accumulate`` and the networkx oracles."""
 
-        monkeypatch.setattr(detector, "accumulate", counting)
+    @staticmethod
+    def assert_matches_references(app: AppModel, depth: int) -> list:
+        g = build_callgraph(app)
+        marks = marks_for(app)
+        adjacency = {n: g.edges[n] for n in g.edges}
+        marked = {c: {n for n in marks if marks[n][i]} for i, c in enumerate(ConditionSet._fields)}
+        findings = detect_app(app, DetectorConfig(depth=depth)).findings
+        seeds = _covering_seeds(g, marks, depth)
+        assert [(f.seed, f.conditions) for f in findings] == [
+            (s, accumulate(s, g, marks, depth)) for s in seeds
+        ]
+        for f in findings:
+            assert f.conditions._asdict() == evidence_oracle(adjacency, marks, f.seed, depth)
+            for category, chain in f.witness_chains.items():
+                assert chain == witness_chain_oracle(adjacency, f.seed, marked[category], depth)
+        return findings
+
+    def test_random_instances_match_references(self):
+        # Random graphs have cycles and self-loops, and node keys do not sort
+        # in index order, so ring order and ties are exercised.
+        rng = random.Random(71)
+        findings = multi_hop = 0
+        for _ in range(40):
+            inst = random_instance(rng)
+            for depth in range(1, 9):
+                for f in self.assert_matches_references(inst.app, depth):
+                    findings += 1
+                    multi_hop += any(len(chain) > 2 for chain in f.witness_chains.values())
+        assert findings > 500 and multi_hop > 200
+
+    @given(adjacency_and_marks(), st.integers(1, 8))
+    def test_generated_graphs_match_references(self, instance, depth):
+        # Cycles, self-loops and unreachable nodes all occur in the drawn maps.
+        adjacency, category_nodes = instance
+        mark_ins = (StringConst("/user_log"), PATH_API, SINK)
+        app = make_app(
+            {
+                f"m{i}": (
+                    [ins for ins, nodes in zip(mark_ins, category_nodes) if i in nodes],
+                    [f"m{j}" for j in callees],
+                )
+                for i, callees in adjacency.items()
+            }
+        )
+        self.assert_matches_references(app, depth)
+
+    def test_builds_each_row_once_per_app(self, monkeypatch):
+        # Every row detect_app builds is reported, and a (method, distance)'s
+        # rows are built once per app however many findings report them.
+        built = []
+
+        def counting(*args):
+            built.append(Evidence(*args))
+            return built[-1]
+
+        monkeypatch.setattr(detector, "Evidence", counting)
         rng = random.Random(67)
-        mixed = 0
+        shared = 0
         for _ in range(30):
             inst = random_instance(rng)
-            calls.clear()
-            result = detect_app(inst.app, DetectorConfig(depth=3))
-            assert calls == [f.seed for f in result.findings]
-            mixed += 0 < len(result.findings) < len(inst.adjacency)
-        assert mixed > 5  # apps where some seeds are reported and some are not
+            built.clear()
+            findings = detect_app(inst.app, DetectorConfig(depth=5)).findings
+            reported = [e for f in findings for ev in f.conditions for e in ev]
+            assert {id(e) for e in built} == {id(e) for e in reported}
+            marks = marks_for(inst.app)
+            per_row = Counter((e.method, e.distance) for e in built)
+            assert all(n == sum(map(len, marks[m])) for (m, _), n in per_row.items())
+            shared += len(reported) - len(built)
+        assert shared > 100  # rows that more than one finding reports
 
 
 class TestCategories:

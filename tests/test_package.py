@@ -1,5 +1,5 @@
 import storescan
-from storescan import callgraph, detector, rules, smali_ir
+from storescan import detector, rules, smali_ir
 
 
 def test_public_api_is_entry_points_and_error_types():
@@ -10,7 +10,6 @@ def test_public_api_is_entry_points_and_error_types():
         "SmaliParseError": smali_ir.SmaliParseError,
         "DuplicateClassError": smali_ir.DuplicateClassError,
         "RuleFormatError": rules.RuleFormatError,
-        "UnknownNodeError": callgraph.UnknownNodeError,
     }
     assert sorted(storescan.__all__) == sorted(expected)
     for name, obj in expected.items():
