@@ -10,10 +10,15 @@ from .smali_ir import AppModel, Invoke, MethodRef
 
 @dataclass
 class CallGraph:
-    #: caller -> app-defined callees in first-occurrence source order,
-    #: duplicates removed. Every app-defined method is a key, callees or not;
-    #: an invoke target the app does not define gets no edge.
+    #: caller -> app-defined callees, sorted and without duplicates. Every
+    #: app-defined method is a key, callees or not; an invoke target the app
+    #: does not define gets no edge.
     edges: dict[MethodRef, list[MethodRef]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # The detector's witness chains need this order; every graph has it.
+        for callees in self.edges.values():
+            callees.sort()
 
     @property
     def nodes(self) -> KeysView[MethodRef]:
@@ -31,7 +36,7 @@ def build_callgraph(app: AppModel) -> CallGraph:
     edges: dict[MethodRef, list[MethodRef]] = {}
     for m in methods:
         targets = (ins.target for ins in m.body if isinstance(ins, Invoke))
-        edges[m.key] = list(dict.fromkeys(t for t in targets if t in defined))
+        edges[m.key] = list({t for t in targets if t in defined})
     return CallGraph(edges)
 
 

@@ -8,12 +8,13 @@ a witness chain: the lexically smallest shortest call chain from the seed to
 the closest evidence method.
 
 Each reported seed costs one breadth-first search, ring by ring, expanding
-callees in sorted order. The first path to reach a node is then the lexically
-smallest of its shortest paths, so the BFS parents give the witness chains,
-and the rings give the evidence in (distance, method) order. An evidence row
-depends only on its method and distance, so each is built once per app and
-shared by every finding that reports it; the memo lives for one
-``detect_app`` call, so memory stays bounded by the largest app.
+callees sorted by the call graph (``CallGraph`` keeps them so). The first path
+to reach a node is then the lexically smallest of its shortest paths, so the
+BFS parents give the witness chains, and the rings give the evidence in
+(distance, method) order. An evidence row depends only on its method and
+distance, so each is built once per app and shared by every finding that
+reports it; the memo lives for one ``detect_app`` call, so memory stays
+bounded by the largest app.
 """
 
 from __future__ import annotations
@@ -103,18 +104,6 @@ def _covering_seeds(g: CallGraph, marks: dict[MethodRef, MarkSet], depth: int) -
     return [n for n, r in reach.items() if r == full]
 
 
-class _SortedCallees(dict):
-    """caller -> its callees in sorted order, each list sorted on first use."""
-
-    def __init__(self, edges: dict[MethodRef, list[MethodRef]]):
-        super().__init__()
-        self.edges = edges
-
-    def __missing__(self, node: MethodRef) -> list[MethodRef]:
-        callees = self[node] = sorted(self.edges[node])
-        return callees
-
-
 def detect_app(
     app: AppModel, config: DetectorConfig, *, graph: CallGraph | None = None
 ) -> DetectionResult:
@@ -132,7 +121,6 @@ def detect_app(
     # sorts by method identity, with cheaper comparisons.
     marked = sorted(n for n, ms in marks.items() if any(ms)) if seeds else []
     rank = {n: i for i, n in enumerate(marked)}
-    callees = _SortedCallees(g.edges)
     rows: list[dict[MethodRef, ConditionSet]] = [{} for _ in range(config.depth)]
     findings: list[Finding] = []
     for seed in seeds:
@@ -143,7 +131,7 @@ def detect_app(
             if d:
                 nxt = []
                 for node in ring:
-                    for callee in callees[node]:
+                    for callee in g.edges[node]:
                         if callee not in parent:
                             parent[callee] = node
                             nxt.append(callee)

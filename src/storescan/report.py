@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, TextIO
 from .callgraph import build_callgraph, edge_list_text
 from .detector import DetectionResult, DetectorConfig, Evidence, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
-from .smali_ir import DuplicateClassError, _escape_string, parse_app_dir
+from .smali_ir import DuplicateClassError, _escape_string, parse_app_dir, unreadable_reason
 
 SCHEMA_VERSION = "1"
 SCHEMA_FILENAME = "report_schema.json"
@@ -60,24 +60,22 @@ def scan_corpus(
     Per-app failures (unreadable directory, duplicate class declarations)
     become that app's diagnostics and never abort the corpus. When
     ``graph_sink`` is given, each app's call graph is written to it as a
-    deterministic edge list.
+    deterministic edge list. Raises the OS's own OSError when ``root`` cannot
+    be listed.
     """
-    root = Path(root)
-    if not root.exists():
-        raise FileNotFoundError(f"corpus root not found: {root}")
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
-
+    app_dirs = sorted(p for p in Path(root).iterdir() if p.is_dir())
     results: list[DetectionResult] = []
     gc_was_enabled = gc.isenabled()
     gc.disable()  # nothing below makes a cycle; see the module docstring
     try:
-        for app_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        for app_dir in app_dirs:
             app_id = app_dir.name
             try:
                 app, diagnostics = parse_app_dir(app_dir, app_id)
             except (DuplicateClassError, OSError) as exc:
-                results.append(DetectionResult(app_id, [], [f"app not scanned: {exc}"]))
+                # A str, since an exception kept in a local would cycle through this frame.
+                reason = unreadable_reason(exc) if isinstance(exc, OSError) else str(exc)
+                results.append(DetectionResult(app_id, [], [f"app not scanned: {reason}"]))
                 continue
             graph = None
             if graph_sink is not None:

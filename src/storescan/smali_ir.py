@@ -12,6 +12,7 @@ it stands.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,20 +243,23 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
     return ClassDef(descriptor, super_descriptor, class_flags, metadata, methods, source_file)
 
 
+def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:
+    """``unreadable: <reason>``. An OSError's own text names the absolute path;
+    a report names relative paths only."""
+    return "unreadable: " + str(OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc)
+
+
 def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     """Parse every ``*.smali`` file under ``root`` (recursively) into an AppModel.
 
     Files that fail to parse are skipped and reported in the returned
     diagnostics list; classes are ordered by relative path so repeated runs
     produce identical models. Raises DuplicateClassError when two files
-    declare the same descriptor, and OSError when root is unreadable.
+    declare the same descriptor, and the OS's own OSError when root is
+    missing, not a directory or unreadable.
     """
     root = Path(root)
-    if not root.exists():
-        raise FileNotFoundError(f"app directory not found: {root}")
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
-
+    os.scandir(root).close()  # rglob would skip an unreadable root without a word
     files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob(f"*{SMALI_EXTENSION}"))
     classes: list[ClassDef] = []
     diagnostics: list[str] = []
@@ -264,10 +268,7 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
         try:
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
-            # An OSError's own text names the absolute path; the report names rel only.
-            # A str, since an exception kept in a local would cycle through this frame.
-            reason = str(OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc)
-            diagnostics.append(f"{rel}: unreadable: {reason}")
+            diagnostics.append(f"{rel}: {unreadable_reason(exc)}")
             continue
         try:
             cls = parse_class(text, source_file=rel)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from storescan.callgraph import build_callgraph, edge_list_text
+from storescan.callgraph import CallGraph, build_callgraph, edge_list_text
 from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef
 
 from appgen import random_instance
@@ -66,20 +66,26 @@ class TestBuildCallgraph:
         assert g.edges[("La/A;", "f", "()V")] == []
 
     def test_keys_and_callees_are_method_refs(self):
-        g = build_callgraph(app_from_adjacency({"f": ["g", "f"], "g": []}))
+        # Keys keep source order; callees are sorted whatever order they were invoked in.
+        g = build_callgraph(app_from_adjacency({"g": [], "f": ["g", "f"]}))
         assert all(type(k) is MethodRef for k in g.nodes)
         assert all(type(c) is MethodRef for callees in g.edges.values() for c in callees)
-        assert [str(k) for k in g.nodes] == ["Lg/G;->f()V", "Lg/G;->g()V"]
-        assert [str(c) for c in g.edges[key("f")]] == ["Lg/G;->g()V", "Lg/G;->f()V"]
+        assert [str(k) for k in g.nodes] == ["Lg/G;->g()V", "Lg/G;->f()V"]
+        assert [str(c) for c in g.edges[key("f")]] == ["Lg/G;->f()V", "Lg/G;->g()V"]
 
     def test_no_invokes_means_no_edges(self):
         g = build_callgraph(app_from_adjacency({"f": [], "g": []}))
         assert g.nodes == {key("f"), key("g")}
         assert all(not callees for callees in g.edges.values())
 
-    def test_duplicate_invokes_collapse_keeping_first_order(self):
+    def test_duplicate_invokes_collapse_into_sorted_callees(self):
         g = build_callgraph(app_from_adjacency({"f": ["h", "g", "h", "g"], "g": [], "h": []}))
-        assert g.edges[key("f")] == [key("h"), key("g")]
+        assert g.edges[key("f")] == [key("g"), key("h")]
+
+    def test_any_graph_sorts_its_callees(self):
+        # The detector's witness chains rely on this for graphs built by hand too.
+        g = CallGraph({key("f"): [key("h"), key("f"), key("g")], key("g"): [], key("h"): []})
+        assert g.edges[key("f")] == [key("f"), key("g"), key("h")]
 
     def test_every_edge_has_a_witnessing_invoke(self):
         rng = random.Random(7)

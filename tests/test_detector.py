@@ -297,6 +297,18 @@ class TestEvidenceKernel:
         )
         self.assert_matches_references(app, depth)
 
+    def test_callee_order_of_a_given_graph_does_not_matter(self):
+        # A graph passed in with its callee lists reversed gives the same
+        # findings, witness chains included, as the one detect_app builds.
+        rng = random.Random(73)
+        for _ in range(20):
+            inst = random_instance(rng)
+            reversed_graph = CallGraph({n: cs[::-1] for n, cs in build_callgraph(inst.app).edges.items()})
+            for depth in (2, 4, 6):
+                config = DetectorConfig(depth=depth)
+                got = detect_app(inst.app, config, graph=reversed_graph)
+                assert got == detect_app(inst.app, config)
+
     def test_builds_each_row_once_per_app(self, monkeypatch):
         # Every row detect_app builds is reported, and a (method, distance)'s
         # rows are built once per app however many findings report them.

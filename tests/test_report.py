@@ -1,6 +1,8 @@
+import errno
 import gc
 import io
 import json
+import os
 import random
 import shutil
 
@@ -271,6 +273,26 @@ class TestScanCorpus:
     def test_missing_root(self, tmp_path):
         with pytest.raises(OSError):
             scan(tmp_path / "nope")
+
+    def test_unreadable_app_becomes_diagnostic_row(self, tmp_path, monkeypatch):
+        # Root cannot be denied read access, so listing one app fails by patch.
+        # A recursive glob alone skips that app's files: it would read as clean.
+        root = tmp_path / "corpus"
+        for app_id in ("locked", "open"):
+            (root / app_id).mkdir(parents=True)
+            (root / app_id / "Vuln.smali").write_text(VULN_CLASS, encoding="utf-8")
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if str(path) == str(root / "locked"):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        locked, opened = scan(root).apps
+        assert (locked.app_id, locked.findings) == ("locked", [])
+        assert locked.diagnostics == ["app not scanned: unreadable: [Errno 13] Permission denied"]
+        assert opened.flagged and opened.diagnostics == []
 
     def test_totals_rederivable_from_rows(self, three_app_corpus):
         report = scan(three_app_corpus)

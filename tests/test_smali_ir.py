@@ -1,4 +1,6 @@
+import errno
 import operator
+import os
 import re
 import string
 
@@ -430,6 +432,23 @@ class TestParseAppDir:
     def test_missing_root(self, tmp_path):
         with pytest.raises(OSError):
             parse_app_dir(tmp_path / "nope", "gone")
+
+    def test_file_root(self, tmp_path):
+        (tmp_path / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        with pytest.raises(NotADirectoryError):
+            parse_app_dir(tmp_path / "A.smali", "file")
+
+    def test_unreadable_root_raises(self, tmp_path, monkeypatch):
+        # Root cannot be denied read access, so listing fails by patch; a
+        # recursive glob alone would skip the root and return an empty app.
+        (tmp_path / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+
+        def scandir(path="."):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        with pytest.raises(PermissionError):
+            parse_app_dir(tmp_path, "locked")
 
     def test_directory_symlink_loop_not_followed(self, tmp_path):
         (tmp_path / "smali").mkdir()
