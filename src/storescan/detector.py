@@ -19,6 +19,7 @@ bounded by the largest app.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,9 +59,6 @@ class ConditionSet(NamedTuple):
     keyword: list[Evidence]
     path_source: list[Evidence]
     write_sink: list[Evidence]
-
-    def satisfied(self) -> bool:
-        return all(self)
 
 
 @dataclass
@@ -121,13 +119,13 @@ def detect_app(
     # sorts by method identity, with cheaper comparisons.
     marked = sorted(n for n, ms in marks.items() if any(ms)) if seeds else []
     rank = {n: i for i, n in enumerate(marked)}
-    rows: list[dict[MethodRef, ConditionSet]] = [{} for _ in range(config.depth)]
+    rows: defaultdict[int, dict[MethodRef, ConditionSet]] = defaultdict(dict)  # distance -> method -> rows
     findings: list[Finding] = []
     for seed in seeds:
         keyword, path_source, write_sink = conditions = ConditionSet([], [], [])
         parent: dict[MethodRef, MethodRef | None] = {seed: None}
         ring = [seed]
-        for d, memo in enumerate(rows):  # memo: method -> its rows at distance d
+        for d in range(config.depth):
             if d:
                 nxt = []
                 for node in ring:
@@ -135,7 +133,10 @@ def detect_app(
                         if callee not in parent:
                             parent[callee] = node
                             nxt.append(callee)
+                if not nxt:
+                    break  # the BFS is exhausted; depth may far exceed the graph's
                 ring = nxt
+            memo = rows[d]
             for node in sorted(filter(rank.__contains__, ring), key=rank.__getitem__):
                 ev = memo.get(node)
                 if ev is None:

@@ -2,8 +2,9 @@
 
 Only the instruction families the detection rules consume are interpreted:
 ``invoke-*`` and ``const-string`` (including ``/jumbo``). Every other body
-line, ``new-instance`` included, is kept verbatim as an opaque instruction,
-so a parsed class can be rendered back without losing information.
+line, ``new-instance`` included, is kept as its own text, a plain ``str``,
+and rendered back unchanged. Interpreted lines are rendered from their
+structure, so a re-parse of a rendered class is structurally identical.
 
 String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
 or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
@@ -31,18 +32,6 @@ class SmaliParseError(Exception):
         super().__init__(message)
 
 
-class MalformedDirectiveError(SmaliParseError):
-    """Bad `.class`, `.super`, or `.method` syntax."""
-
-
-class UnterminatedMethodError(SmaliParseError):
-    """A `.method` with no matching `.end method`."""
-
-
-class DuplicateMethodError(SmaliParseError):
-    """Two methods in one class share (name, proto)."""
-
-
 class DuplicateClassError(Exception):
     """Two files in one app directory declare the same class descriptor."""
 
@@ -59,7 +48,7 @@ class MethodRef(NamedTuple):
         return f"{self.class_descriptor}->{self.name}{self.proto}"
 
 
-# source_line and raw_line are provenance, excluded from equality so that
+# source_line is provenance for rule hits, excluded from equality so that
 # structural comparison survives re-rendering.
 
 
@@ -68,25 +57,16 @@ class Invoke:
     kind: str  # virtual | super | direct | static | interface
     target: MethodRef
     source_line: int = field(default=0, compare=False)
-    raw_line: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class StringConst:
     value: str
     source_line: int = field(default=0, compare=False)
-    raw_line: str | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(slots=True)
-class Opaque:
-    """Any body line we do not interpret, kept byte-for-byte."""
-
-    raw_line: str
-    source_line: int = field(default=0, compare=False)
-
-
-Instruction = Invoke | StringConst | Opaque
+#: A ``str`` is a body line the parser does not interpret, kept verbatim.
+Instruction = Invoke | StringConst | str
 
 
 @dataclass(slots=True)
@@ -144,37 +124,36 @@ def _escape_string(s: str) -> str:
 
 
 def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
-    # Lines that look like an interpreted family but fail its grammar fall
-    # back to opaque; only directives raise.
+    # Lines that look like an interpreted family but fail its grammar stay
+    # uninterpreted text; only directives raise.
     if stripped.startswith("invoke-"):
         m = _INVOKE_RE.match(stripped)
         if m:
             kind, cls, name, proto = m.groups()
             if _CLASS_DESC_RE.match(cls):
-                return Invoke(kind, MethodRef(cls, name, proto), lineno, raw)
+                return Invoke(kind, MethodRef(cls, name, proto), lineno)
     elif stripped.startswith("const-string"):
         m = _CONST_STRING_RE.match(stripped)
         if m:
-            return StringConst(_unescape_string(m.group(1)), lineno, raw)
-    return Opaque(raw, lineno)
+            return StringConst(_unescape_string(m.group(1)), lineno)
+    return raw
 
 
 def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) -> tuple[list[str], re.Match]:
     """Split a `.class` or `.method` line into its flags and the match of its last token."""
     tokens = stripped.split()
     if len(tokens) < 2:
-        raise MalformedDirectiveError(f"missing {what} in {tokens[0]}", lineno)
+        raise SmaliParseError(f"missing {what} in {tokens[0]}", lineno)
     m = grammar.match(tokens[-1])
     if not m:
-        raise MalformedDirectiveError(f"bad {what} {tokens[-1]!r}", lineno)
+        raise SmaliParseError(f"bad {what} {tokens[-1]!r}", lineno)
     return tokens[1:-1], m
 
 
 def parse_class(text: str, source_file: str = "") -> ClassDef:
     """Parse one smali class file into a ClassDef.
 
-    Raises MalformedDirectiveError, UnterminatedMethodError, or
-    DuplicateMethodError, each carrying the offending line number.
+    Raises SmaliParseError carrying the offending line number.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -200,7 +179,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
                 methods.append(cur)
                 cur = None
             elif head == ".method":
-                raise UnterminatedMethodError(
+                raise SmaliParseError(
                     f".method {cur.key.name}{cur.key.proto} (line {cur_line}) not closed before next .method",
                     lineno,
                 )
@@ -210,36 +189,36 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
 
         if head == ".class":
             if descriptor is not None:
-                raise MalformedDirectiveError("duplicate .class directive", lineno)
+                raise SmaliParseError("duplicate .class directive", lineno)
             class_flags, m = _parse_header(stripped, lineno, _CLASS_DESC_RE, "class descriptor")
             descriptor = m[0]
         elif head == ".super":
             tokens = stripped.split()
             if len(tokens) != 2 or not _CLASS_DESC_RE.match(tokens[1]):
-                raise MalformedDirectiveError("bad .super directive", lineno)
+                raise SmaliParseError("bad .super directive", lineno)
             if super_descriptor:
-                raise MalformedDirectiveError("duplicate .super directive", lineno)
+                raise SmaliParseError("duplicate .super directive", lineno)
             super_descriptor = tokens[1]
         elif head == ".method":
             if descriptor is None:
-                raise MalformedDirectiveError(".method before .class", lineno)
+                raise SmaliParseError(".method before .class", lineno)
             flags, m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
             key = MethodRef(descriptor, *m.groups())
             if key in seen_methods:
-                raise DuplicateMethodError(f"duplicate method {key.name}{key.proto}", lineno)
+                raise SmaliParseError(f"duplicate method {key.name}{key.proto}", lineno)
             seen_methods.add(key)
             cur, cur_line = MethodDef(key, flags), lineno
         elif stripped == ".end method":
-            raise MalformedDirectiveError(".end method outside a method", lineno)
+            raise SmaliParseError(".end method outside a method", lineno)
         elif stripped:
             metadata.append(raw)
 
     if cur is not None:
-        raise UnterminatedMethodError(
+        raise SmaliParseError(
             f".method {cur.key.name}{cur.key.proto} has no matching .end method", cur_line
         )
     if descriptor is None:
-        raise MalformedDirectiveError("no .class directive found", 1)
+        raise SmaliParseError("no .class directive found", 1)
     return ClassDef(descriptor, super_descriptor, class_flags, metadata, methods, source_file)
 
 
@@ -285,8 +264,8 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
 
 
 def _render_instruction(ins: Instruction) -> str:
-    if ins.raw_line is not None:
-        return ins.raw_line
+    if isinstance(ins, str):
+        return ins
     if isinstance(ins, Invoke):
         return f"    invoke-{ins.kind} {{}}, {ins.target}"
     return f'    const-string v0, "{_escape_string(ins.value)}"'

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, Opaque, StringConst
+from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
 
 # Rotating pools. Keyword strings each hit exactly one default keyword and
 # never start with a hardcoded path prefix; sdcard strings hit a hardcoded
@@ -283,7 +283,7 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
 
     classes: dict[str, list[MethodDef]] = {}
     for j, (owner, name, proto) in enumerate(keys):
-        body: list = [Opaque("    .locals 3", 1)]
+        body: list = ["    .locals 3"]
         if j in kw_nodes:
             body.append(StringConst(rng.choice(KEYWORD_STRINGS)))
         if j in path_nodes:

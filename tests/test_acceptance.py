@@ -124,11 +124,11 @@ def test_parser_roundtrip_and_seed_isolation():
         rules = default_ruleset()
         marks = {m.key: mark_function(m, rules) for c in inst.app.classes for m in c.methods}
         seeds = sorted(g.nodes)
-        baseline = {s for s in seeds if accumulate(s, g, marks, 3).satisfied()}
+        baseline = {s for s in seeds if all(accumulate(s, g, marks, 3))}
         for _ in range(4):
             shuffled = seeds[:]
             rng.shuffle(shuffled)
-            got = {s for s in shuffled if accumulate(s, g, marks, 3).satisfied()}
+            got = {s for s in shuffled if all(accumulate(s, g, marks, 3))}
             ok = ok and got == baseline
     check("parser round-trip + per-seed isolation", ok, f"classes={len(fixtures)}")
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -71,20 +72,20 @@ class TestAccumulate:
         app = make_app({"solo": ([PATH_API, StringConst("/user_log"), SINK], [])})
         g = build_callgraph(app)
         cs = accumulate(key("solo"), g, marks_for(app), depth=1)
-        assert cs.satisfied()
+        assert all(cs)
         assert all(e.distance == 0 for e in cs.keyword + cs.path_source + cs.write_sink)
 
     def test_chain_satisfied_at_depth_three(self):
         # Union over nodes within 2 hops of main: {main, helper, writer}.
         g = build_callgraph(CHAIN_APP)
         cs = accumulate(key("main"), g, marks_for(CHAIN_APP), depth=3)
-        assert cs.satisfied()
+        assert all(cs)
         assert [e.distance for e in cs.write_sink] == [2]
 
     def test_chain_not_satisfied_at_depth_two(self):
         g = build_callgraph(CHAIN_APP)
         cs = accumulate(key("main"), g, marks_for(CHAIN_APP), depth=2)
-        assert not cs.satisfied()
+        assert not all(cs)
         assert cs.write_sink == []  # writer at distance 2 is out of range
 
     def test_cycle_satisfied_and_terminates(self):
@@ -96,14 +97,14 @@ class TestAccumulate:
         )
         g = build_callgraph(app)
         cs = accumulate(key("f"), g, marks_for(app), depth=3)
-        assert cs.satisfied()
+        assert all(cs)
 
     def test_fresh_per_seed(self):
         g = build_callgraph(CHAIN_APP)
         marks = marks_for(CHAIN_APP)
         accumulate(key("main"), g, marks, depth=3)
         cs_writer = accumulate(key("writer"), g, marks, depth=3)
-        assert not cs_writer.satisfied()
+        assert not all(cs_writer)
         assert cs_writer.keyword == [] and cs_writer.path_source == []
 
     def test_unknown_seed(self):
@@ -141,7 +142,7 @@ class TestAccumulate:
                     cs = accumulate(seed, g, marks, depth)
                     assert cs._asdict() == evidence_oracle(adjacency, marks, seed, depth)
                     rows += sum(map(len, cs))
-                    unsatisfied += not cs.satisfied()
+                    unsatisfied += not all(cs)
                     multi_hit += any(a.method == b.method for ev in cs for a, b in zip(ev, ev[1:]))
         assert rows > 20_000 and unsatisfied > 1000 and multi_hit > 1000
 
@@ -191,7 +192,7 @@ class TestCoveringSeeds:
     @staticmethod
     def assert_matches_references(adjacency, category_nodes, node, g, marks, depth):
         got = _covering_seeds(g, marks, depth)
-        assert got == [s for s in g.edges if accumulate(s, g, marks, depth).satisfied()]
+        assert got == [s for s in g.edges if all(accumulate(s, g, marks, depth))]
         want = satisfying_seeds_oracle(adjacency, *category_nodes, depth)
         assert set(got) == {node[i] for i in want}
         return got
@@ -333,6 +334,21 @@ class TestEvidenceKernel:
             shared += len(reported) - len(built)
         assert shared > 100  # rows that more than one finding reports
 
+    def test_depth_far_beyond_the_graph_costs_nothing_more(self):
+        # The BFS stops at its first empty ring, so a depth of 10^5 on a
+        # one-method app allocates nothing per unreached distance.
+        app = make_app({"solo": ([PATH_API, StringConst("/user_log"), SINK], [])})
+        want = detect_app(app, DetectorConfig(depth=3)).findings
+        assert len(want) == 1
+        tracemalloc.start()
+        try:
+            got = detect_app(app, DetectorConfig(depth=10**5)).findings
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1_000_000
+
 
 class TestCategories:
     def test_condition_fields_are_the_report_categories(self):
@@ -458,11 +474,11 @@ class TestDetectApp:
             rules = default_ruleset()
             marks = {m.key: mark_function(m, rules) for c in inst.app.classes for m in c.methods}
             seeds = sorted(g.nodes)
-            baseline = {s for s in seeds if accumulate(s, g, marks, 3).satisfied()}
+            baseline = {s for s in seeds if all(accumulate(s, g, marks, 3))}
             for _ in range(3):
                 shuffled = seeds[:]
                 rng.shuffle(shuffled)
-                got = {s for s in shuffled if accumulate(s, g, marks, 3).satisfied()}
+                got = {s for s in shuffled if all(accumulate(s, g, marks, 3))}
                 assert got == baseline
             result = detect_app(inst.app, DetectorConfig(depth=3, rules=rules))
             assert {f.seed for f in result.findings} == baseline

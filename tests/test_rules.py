@@ -13,7 +13,7 @@ from storescan.rules import (
     match_keyword,
     ruleset_digest,
 )
-from storescan.smali_ir import Invoke, MethodDef, MethodRef, Opaque, StringConst, parse_class
+from storescan.smali_ir import Invoke, MethodDef, MethodRef, StringConst, parse_class
 
 from appgen import class_text, method_text
 
@@ -226,7 +226,7 @@ class TestMarkFunction:
         assert [h.evidence for h in marks.path_source_hits] == ["/sdcard/\\u+06cog"]
 
     def test_opaque_lines_never_match(self):
-        m = method_with([Opaque('    const-string v0 "/user_log"', 1)])  # malformed, stays opaque
+        m = method_with(['    const-string v0 "/user_log"'])  # malformed, stays uninterpreted
         marks = mark_function(m, default_ruleset())
         assert marks.keyword_hits == []
 
