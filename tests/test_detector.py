@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -348,6 +350,29 @@ class TestEvidenceKernel:
             tracemalloc.stop()
         assert got == want
         assert peak < 1_000_000
+
+    def test_a_seeds_search_costs_what_it_reaches_not_the_app(self):
+        # n seeds that each call one hub holding all three categories: every
+        # seed is flagged and its search reaches two methods. Linear work reads
+        # about 4x from 5,000 seeds to 20,000; work proportional to the app
+        # per seed would read 16x.
+        def best_time(n):
+            layout = {"hub": ([PATH_API, StringConst("/user_log"), SINK], [])}
+            layout.update((f"s{i}", ([], ["hub"])) for i in range(n))
+            app, config = make_app(layout), DetectorConfig(depth=2)
+            assert len(detect_app(app, config).findings) == n + 1
+            times = []
+            gc.disable()
+            try:
+                for _ in range(5):
+                    start = time.perf_counter()
+                    detect_app(app, config)
+                    times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            return min(times)
+
+        assert best_time(20_000) < 8 * best_time(5_000)
 
 
 class TestCategories:
