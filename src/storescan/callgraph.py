@@ -1,28 +1,51 @@
-"""App-internal call graph."""
+"""App-internal call graph, with each app's methods numbered once.
+
+A method's id is its index in the sorted list of the app's methods, so ids
+sort as the methods do and the detector's kernels can run on int lists.
+"""
 
 from __future__ import annotations
 
-from collections.abc import KeysView
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 
 from .smali_ir import AppModel, Invoke, MethodRef
 
 
-@dataclass
 class CallGraph:
-    #: caller -> app-defined callees, sorted and without duplicates. Every
-    #: app-defined method is a key, callees or not; an invoke target the app
-    #: does not define gets no edge.
-    edges: dict[MethodRef, list[MethodRef]] = field(default_factory=dict)
+    """``nodes`` is the app's methods in sorted order and ``ids`` maps each to its
+    index there. ``callees[i]`` lists the ids method ``i`` calls, sorted and without
+    duplicates. ``edges`` shows the same graph keyed by ``MethodRef``."""
 
-    def __post_init__(self):
-        # The detector's witness chains need this order; every graph has it.
-        for callees in self.edges.values():
-            callees.sort()
+    __slots__ = ("nodes", "ids", "callees")
+
+    def __init__(self, edges: Mapping[MethodRef, Iterable[MethodRef]]):
+        """Number ``edges``' keys. A callee that is not a key gets no edge."""
+        self.nodes = sorted(edges)
+        self.ids = ids = {n: i for i, n in enumerate(self.nodes)}
+        get = ids.get
+        self.callees = [sorted({i for c in edges[n] if (i := get(c)) is not None}) for n in self.nodes]
 
     @property
-    def nodes(self) -> KeysView[MethodRef]:
-        return self.edges.keys()
+    def edges(self) -> Mapping[MethodRef, list[MethodRef]]:
+        """caller -> callees, read-only, derived from ``nodes`` and ``callees``."""
+        return _EdgeView(self)
+
+
+class _EdgeView(Mapping):
+    __slots__ = ("_g",)
+
+    def __init__(self, g: CallGraph):
+        self._g = g
+
+    def __getitem__(self, caller: MethodRef) -> list[MethodRef]:
+        g = self._g
+        return [g.nodes[c] for c in g.callees[g.ids[caller]]]
+
+    def __iter__(self) -> Iterator[MethodRef]:
+        return iter(self._g.nodes)
+
+    def __len__(self) -> int:
+        return len(self._g.nodes)
 
 
 def build_callgraph(app: AppModel) -> CallGraph:
@@ -31,13 +54,13 @@ def build_callgraph(app: AppModel) -> CallGraph:
     A target with no exact match gets no edge; no class-hierarchy or
     virtual-dispatch resolution is attempted.
     """
-    methods = [m for cls in app.classes for m in cls.methods]
-    defined = {m.key for m in methods}
-    edges: dict[MethodRef, list[MethodRef]] = {}
-    for m in methods:
-        targets = (ins.target for ins in m.body if isinstance(ins, Invoke))
-        edges[m.key] = list({t for t in targets if t in defined})
-    return CallGraph(edges)
+    return CallGraph(
+        {
+            m.key: [ins.target for ins in m.body if isinstance(ins, Invoke)]
+            for cls in app.classes
+            for m in cls.methods
+        }
+    )
 
 
 def edge_list_text(g: CallGraph) -> str:

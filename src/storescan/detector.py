@@ -20,6 +20,7 @@ bounded by the largest app.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,25 +82,39 @@ class DetectionResult:
 
 
 def _covering_seeds(g: CallGraph, marks: dict[MethodRef, MarkSet], depth: int) -> list[MethodRef]:
-    """The seeds, in ``g.edges`` order, whose marks within ``depth - 1`` edges
+    """The seeds, in ``marks`` order, whose marks within ``depth - 1`` edges
     cover every category.
 
     Bit ``i`` of a method's mask is set iff it has a hit in category ``i``.
     After round ``j``, ``reach[n]`` ORs the masks within ``j`` edges of ``n``.
+    Each round passes only the bits new in the last one on to the callers of
+    the methods that gained them. A mask gains bits at most three times, so
+    the rounds together cost at most three passes over the edges, whatever
+    the depth.
     """
-    reach = {n: sum(1 << i for i, hits in enumerate(marks[n]) if hits) for n in g.edges}
-    for _ in range(depth - 1):
-        nxt = {}
-        for n, callees in g.edges.items():
-            r = reach[n]
+    ids = g.ids
+    reach = [0] * len(g.nodes)
+    for n, ms in marks.items():
+        reach[ids[n]] = sum(1 << i for i, hits in enumerate(ms) if hits)
+    new = {i: r for i, r in enumerate(reach) if r}  # id -> bits gained in the last round
+    if depth > 1 and new:
+        callers: list[list[int]] = [[] for _ in reach]
+        for i, callees in enumerate(g.callees):
             for c in callees:
-                r |= reach[c]
-            nxt[n] = r
-        if nxt == reach:
-            break
-        reach = nxt
+                callers[c].append(i)
+        for _ in range(depth - 1):
+            gained: dict[int, int] = {}
+            for c, bits in new.items():
+                for i in callers[c]:
+                    add = bits & ~reach[i]
+                    if add:
+                        reach[i] |= add
+                        gained[i] = gained.get(i, 0) | add
+            if not gained:
+                break
+            new = gained
     full = (1 << len(ConditionSet._fields)) - 1
-    return [n for n, r in reach.items() if r == full]
+    return [n for n in marks if reach[ids[n]] == full]
 
 
 def detect_app(
@@ -115,45 +130,55 @@ def detect_app(
     g = build_callgraph(app) if graph is None else graph
     marks = {m.key: mark_function(m, config.rules) for cls in app.classes for m in cls.methods}
     seeds = _covering_seeds(g, marks, config.depth)
-    # A marked method's rank is its index in sorted order, so sorting by rank
-    # sorts by method identity, with cheaper comparisons.
-    marked = sorted(n for n, ms in marks.items() if any(ms)) if seeds else []
-    rank = {n: i for i, n in enumerate(marked)}
-    rows: defaultdict[int, dict[MethodRef, ConditionSet]] = defaultdict(dict)  # distance -> method -> rows
+    if not seeds:
+        return DetectionResult(app.app_id, [])
+    nodes, ids, callees = g.nodes, g.ids, g.callees
+    marked: list[MarkSet | None] = [None] * len(nodes)  # by id; None when unmarked
+    for n, ms in marks.items():
+        if any(ms):
+            marked[ids[n]] = ms
+    # parent[i] is i's BFS parent for the current seed, the seed's own id for
+    # the seed, and -1 for a method not reached. Each seed resets what it reached.
+    parent = [-1] * len(nodes)
+    rows: defaultdict[int, dict[int, ConditionSet]] = defaultdict(dict)  # distance -> id -> rows
     findings: list[Finding] = []
     for seed in seeds:
-        keyword, path_source, write_sink = conditions = ConditionSet([], [], [])
-        parent: dict[MethodRef, MethodRef | None] = {seed: None}
-        ring = [seed]
+        s = ids[seed]
+        parent[s] = s
+        ring = reached = [s]
+        found: list[ConditionSet] = []
         for d in range(config.depth):
             if d:
                 nxt = []
                 for node in ring:
-                    for callee in g.edges[node]:
-                        if callee not in parent:
+                    for callee in callees[node]:
+                        if parent[callee] < 0:
                             parent[callee] = node
                             nxt.append(callee)
                 if not nxt:
                     break  # the BFS is exhausted; depth may far exceed the graph's
+                reached += nxt
                 ring = nxt
             memo = rows[d]
-            for node in sorted(filter(rank.__contains__, ring), key=rank.__getitem__):
+            for node in sorted(filter(marked.__getitem__, ring)):
                 ev = memo.get(node)
                 if ev is None:
+                    ref = nodes[node]
                     ev = memo[node] = ConditionSet._make(
-                        [Evidence(node, h, d) for h in hits] for hits in marks[node]
+                        [Evidence(ref, h, d) for h in hits] for hits in marked[node]
                     )
-                # Named in-place extends: a loop over the categories costs a fifth of this kernel.
-                keyword += ev.keyword
-                path_source += ev.path_source
-                write_sink += ev.write_sink
+                found.append(ev)
+        conditions = ConditionSet._make(list(chain.from_iterable(category)) for category in zip(*found))
         # A category's first row is its closest method, ties broken lexically.
         chains = {}
         for category, evidence in conditions._asdict().items():
-            chain, node = [], evidence[0].method
-            while node is not None:
-                chain.append(node)
+            path, node = [], ids[evidence[0].method]
+            while node != s:
+                path.append(nodes[node])
                 node = parent[node]
-            chains[category] = chain[::-1]
+            path.append(seed)
+            chains[category] = path[::-1]
         findings.append(Finding(seed, conditions, chains))
+        for node in reached:
+            parent[node] = -1
     return DetectionResult(app.app_id, findings)

@@ -1,8 +1,9 @@
 """Corpus scanning and report serialization.
 
-``scan_corpus`` pauses the cyclic garbage collector. A scan builds no reference
-cycles (``tests/test_report.py::TestNoCycles`` pins this), so reference counting
-frees each app as the next replaces it; the collector's passes would only re-walk it.
+``scan_corpus`` and ``emit_report`` pause the cyclic garbage collector. A scan and
+its report build no reference cycles (``tests/test_report.py::TestNoCycles`` pins
+this), so reference counting frees each app as the next replaces it; the
+collector's passes would only re-walk the app model and the report tree.
 """
 
 from __future__ import annotations
@@ -50,6 +51,23 @@ class CorpusReport:
         )
 
 
+def _collector_paused(fn):
+    """``fn`` run with the cyclic collector paused; the caller's state is restored."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()  # nothing a scan or a report builds makes a cycle; see the module docstring
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def scan_corpus(
     root: str | Path,
     config: DetectorConfig,
@@ -65,28 +83,22 @@ def scan_corpus(
     """
     app_dirs = sorted(p for p in Path(root).iterdir() if p.is_dir())
     results: list[DetectionResult] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # nothing below makes a cycle; see the module docstring
-    try:
-        for app_dir in app_dirs:
-            app_id = app_dir.name
-            try:
-                app, diagnostics = parse_app_dir(app_dir, app_id)
-            except (DuplicateClassError, OSError) as exc:
-                # A str, since an exception kept in a local would cycle through this frame.
-                reason = unreadable_reason(exc) if isinstance(exc, OSError) else str(exc)
-                results.append(DetectionResult(app_id, [], [f"app not scanned: {reason}"]))
-                continue
-            graph = None
-            if graph_sink is not None:
-                graph = build_callgraph(app)
-                graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
-            result = detect_app(app, config, graph=graph)
-            result.diagnostics = diagnostics
-            results.append(result)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for app_dir in app_dirs:
+        app_id = app_dir.name
+        try:
+            app, diagnostics = parse_app_dir(app_dir, app_id)
+        except (DuplicateClassError, OSError) as exc:
+            # A str, since an exception kept in a local would cycle through this frame.
+            reason = unreadable_reason(exc) if isinstance(exc, OSError) else str(exc)
+            results.append(DetectionResult(app_id, [], [f"app not scanned: {reason}"]))
+            continue
+        graph = None
+        if graph_sink is not None:
+            graph = build_callgraph(app)
+            graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
+        result = detect_app(app, config, graph=graph)
+        result.diagnostics = diagnostics
+        results.append(result)
     return CorpusReport(config, results)
 
 
@@ -140,14 +152,10 @@ _encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, str]) -> list[str]:
     """Append ``v`` to ``out`` as ``json.dumps(v, indent=2, ensure_ascii=False)`` writes it at
-    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once."""
+    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once, and
+    ``rendered`` keeps its text with the list separator in front."""
     if isinstance(v, str):
         out.append(_encode_str(v))
-    elif isinstance(v, Evidence):
-        text = rendered.get(v)
-        if text is None:
-            text = rendered[v] = "".join(_write_json(_evidence_row(v), pad, [], rendered))
-        out.append(text)
     elif isinstance(v, int):
         out.append(("true" if v else "false") if isinstance(v, bool) else int.__repr__(v))
     elif isinstance(v, dict):
@@ -159,11 +167,30 @@ def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, st
             _write_json(x, inner, out, rendered)
         out.append("\n" + pad + "}" if v else "{}")
     elif isinstance(v, list):
+        if not v:
+            out.append("[]")
+            return out
         inner = pad + "  "
-        for i, x in enumerate(v):
-            out += (",\n" if i else "[\n", inner)
-            _write_json(x, inner, out, rendered)
-        out.append("\n" + pad + "]" if v else "[]")
+        sep = ",\n" + inner
+        kinds = set(map(type, v))
+        if kinds == {Evidence}:
+            # The cached texts go into ``out`` as they are: joining them would copy each
+            # row once per finding that reports it.
+            get = rendered.get
+            start = len(out)
+            for e in v:
+                text = get(e)
+                if text is None:
+                    text = rendered[e] = sep + "".join(_write_json(_evidence_row(e), inner, [], rendered))
+                out.append(text)
+            out[start] = "[" + out[start][1:]  # "[\n" + inner + the first row
+        elif kinds == {str}:
+            out += ("[\n", inner, sep.join(map(_encode_str, v)))
+        else:
+            for i, x in enumerate(v):
+                out.append(sep if i else "[\n" + inner)
+                _write_json(x, inner, out, rendered)
+        out.append("\n" + pad + "]")
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
     return out
@@ -196,6 +223,7 @@ def _text_report(report: CorpusReport) -> str:
     return "".join(lines)
 
 
+@_collector_paused
 def emit_report(report: CorpusReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports yield byte-identical output."""
     if fmt == "json":

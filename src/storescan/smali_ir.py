@@ -97,9 +97,11 @@ class AppModel:
 
 
 _CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
+# The owner is a class descriptor that does not contain "->". It ends at its
+# first ";", so the match is linear in the line's length.
 _INVOKE_RE = re.compile(
     r"^invoke-(virtual|super|direct|static|interface)(?:/range)?\s+"
-    r"\{[^}]*\}\s*,\s*(\S+?)->([^\s(]+)(\([^)]*\)\S+)$"
+    r"\{[^}]*\}\s*,\s*(L(?:[^\s;-]|-(?!>))+;)->([^\s(]+)(\([^)]*\)\S+)$"
 )
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
 _METHOD_SIG_RE = re.compile(r"^([^\s(]+)(\([^)]*\)\S+)$")
@@ -130,8 +132,7 @@ def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
         m = _INVOKE_RE.match(stripped)
         if m:
             kind, cls, name, proto = m.groups()
-            if _CLASS_DESC_RE.match(cls):
-                return Invoke(kind, MethodRef(cls, name, proto), lineno)
+            return Invoke(kind, MethodRef(cls, name, proto), lineno)
     elif stripped.startswith("const-string"):
         m = _CONST_STRING_RE.match(stripped)
         if m:

@@ -1,4 +1,4 @@
-"""Reference implementations that the package's kernels are checked against.
+"""Reference implementations that the package's kernels and grammars are checked against.
 
 The brute-force oracles are deliberately built on networkx rather than the
 package's own graph code. ``accumulate`` is the plain per-seed evidence
@@ -8,12 +8,29 @@ it flags, exactly the evidence ``accumulate`` finds.
 
 from __future__ import annotations
 
+import re
+
 import networkx as nx
 
 from storescan.callgraph import CallGraph
 from storescan.detector import ConditionSet, Evidence
 from storescan.rules import MarkSet
 from storescan.smali_ir import MethodRef
+
+
+# The invoke grammar as two regexes: a lazy owner group, then a descriptor check.
+# Quadratic in the line's length, and it accepts an owner that contains "->".
+_INVOKE_RE = re.compile(
+    r"^invoke-(virtual|super|direct|static|interface)(?:/range)?\s+"
+    r"\{[^}]*\}\s*,\s*(\S+?)->([^\s(]+)(\([^)]*\)\S+)$"
+)
+_CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
+
+
+def invoke_oracle(stripped: str) -> tuple[str, str, str, str] | None:
+    """(kind, owner, name, proto) of a stripped invoke line, or None if it is not one."""
+    m = _INVOKE_RE.match(stripped)
+    return m.groups() if m and _CLASS_DESC_RE.match(m[2]) else None
 
 
 class UnknownNodeError(Exception):

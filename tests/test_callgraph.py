@@ -66,16 +66,18 @@ class TestBuildCallgraph:
         assert g.edges[("La/A;", "f", "()V")] == []
 
     def test_keys_and_callees_are_method_refs(self):
-        # Keys keep source order; callees are sorted whatever order they were invoked in.
+        # Nodes are sorted whatever the source order, so ids follow method order;
+        # callees are sorted whatever order they were invoked in.
         g = build_callgraph(app_from_adjacency({"g": [], "f": ["g", "f"]}))
         assert all(type(k) is MethodRef for k in g.nodes)
         assert all(type(c) is MethodRef for callees in g.edges.values() for c in callees)
-        assert [str(k) for k in g.nodes] == ["Lg/G;->g()V", "Lg/G;->f()V"]
+        assert [str(k) for k in g.nodes] == ["Lg/G;->f()V", "Lg/G;->g()V"]
+        assert g.ids == {key("f"): 0, key("g"): 1} and g.callees == [[0, 1], []]
         assert [str(c) for c in g.edges[key("f")]] == ["Lg/G;->f()V", "Lg/G;->g()V"]
 
     def test_no_invokes_means_no_edges(self):
         g = build_callgraph(app_from_adjacency({"f": [], "g": []}))
-        assert g.nodes == {key("f"), key("g")}
+        assert g.nodes == [key("f"), key("g")]
         assert all(not callees for callees in g.edges.values())
 
     def test_duplicate_invokes_collapse_into_sorted_callees(self):

@@ -168,14 +168,26 @@ def int_graph(adjacency: dict[int, list[int]], category_nodes: tuple[set[int], s
     return node, g, marks
 
 
-class CountingEdges(dict):
-    """Edge map that counts full passes over ``items()``: one per kernel round."""
+class CountingList(list):
+    """A callee list that counts, for all such lists together, how often it is read through."""
 
-    passes = 0
+    reads = 0
 
-    def items(self):
-        self.passes += 1
-        return super().items()
+    def __iter__(self):
+        CountingList.reads += 1
+        return super().__iter__()
+
+
+def callee_reads(g: CallGraph, marks, depth: int) -> int:
+    """How many times ``_covering_seeds`` reads through one of ``g``'s callee lists."""
+    saved = g.callees
+    g.callees = [CountingList(callees) for callees in saved]
+    CountingList.reads = 0
+    try:
+        _covering_seeds(g, marks, depth)
+        return CountingList.reads
+    finally:
+        g.callees = saved
 
 
 @st.composite
@@ -194,7 +206,8 @@ class TestCoveringSeeds:
     @staticmethod
     def assert_matches_references(adjacency, category_nodes, node, g, marks, depth):
         got = _covering_seeds(g, marks, depth)
-        assert got == [s for s in g.edges if all(accumulate(s, g, marks, depth))]
+        # Seeds come in source order, which is the order of ``marks``.
+        assert got == [s for s in marks if all(accumulate(s, g, marks, depth))]
         want = satisfying_seeds_oracle(adjacency, *category_nodes, depth)
         assert set(got) == {node[i] for i in want}
         return got
@@ -226,28 +239,36 @@ class TestCoveringSeeds:
     def test_chain_longer_than_depth_runs_every_round(self):
         # m0 -> m1 -> ... -> m9, one category at each of m7, m8 and m9: each
         # round moves the bits one edge further, so no round is a fixpoint.
+        # The kernel still reads each callee list once, to find callers; full
+        # passes over the edges would read each list depth - 1 times.
         adjacency = {i: [i + 1] for i in range(9)} | {9: []}
         category_nodes = ({7}, {8}, {9})
         node, g, marks = int_graph(adjacency, category_nodes)
-        g.edges = CountingEdges(g.edges)
-        for depth, want in ((2, []), (3, [7]), (5, [5, 6, 7])):
-            g.edges.passes = 0
+        for depth, want in ((2, []), (3, [7]), (5, [5, 6, 7]), (11, range(8))):
             got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
             assert got == [node[i] for i in want]
-            assert g.edges.passes == depth - 1
+            assert callee_reads(g, marks, depth) == len(node)
+        # A 4,000-method chain at depth 4,001 that every method satisfies: full
+        # passes would visit 4,000 x 4,000 edges, seconds of work.
+        adjacency = {i: [i + 1] for i in range(3999)} | {3999: []}
+        node, g, marks = int_graph(adjacency, ({3999}, {3999}, {3999}))
+        start = time.perf_counter()
+        assert _covering_seeds(g, marks, 4001) == node
+        assert time.perf_counter() - start < 1.0
 
     def test_small_cycle_stops_at_the_fixpoint(self):
         # m0 <-> m1 and a self-loop on m2: every mask is final after one round,
-        # so the second round changes nothing and ends the loop, long before
-        # depth - 1 rounds.
+        # so the next round gains nothing and ends the loop, long before
+        # depth - 1 rounds: at depth 10^7 those would take minutes.
         adjacency = {0: [1], 1: [0], 2: [2]}
         category_nodes = ({0, 2}, {0}, {1})
         node, g, marks = int_graph(adjacency, category_nodes)
-        g.edges = CountingEdges(g.edges)
-        for depth, passes in ((2, 1), (3, 2), (8, 2)):
-            g.edges.passes = 0
+        for depth in (2, 3, 8):
             got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
-            assert got == node[:2] and g.edges.passes == passes
+            assert got == node[:2] and callee_reads(g, marks, depth) == len(node)
+        start = time.perf_counter()
+        assert _covering_seeds(g, marks, 10**7) == node[:2]
+        assert time.perf_counter() - start < 0.5
 
 
 class TestEvidenceKernel:

@@ -397,6 +397,24 @@ class TestNoCycles:
 
 
 class TestCollectorState:
+    """``scan_corpus`` and ``emit_report`` pause the collector, and give the
+    caller back the state it had, also when they raise."""
+
+    @staticmethod
+    def assert_paused_and_restored(work, during, enabled, fails):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(RuntimeError):
+                    work()
+            else:
+                work()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during and not any(during)
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
     def test_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
@@ -409,18 +427,24 @@ class TestCollectorState:
             return parse_app_dir(app_dir, app_id)
 
         monkeypatch.setattr(report_module, "parse_app_dir", parse)
-        was_enabled = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
+        self.assert_paused_and_restored(lambda: scan(chain_corpus), during, enabled, fails)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_emit_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails, fmt):
+        report = scan(chain_corpus)
+        during = []
+        row = report_module._evidence_row if fmt == "json" else report_module._text_row
+
+        def recording_row(*args):
+            during.append(gc.isenabled())
             if fails:
-                with pytest.raises(RuntimeError):
-                    scan(chain_corpus)
-            else:
-                scan(chain_corpus)
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
-        assert during and not any(during)
+                raise RuntimeError("writer crashed")
+            return row(*args)
+
+        monkeypatch.setattr(report_module, row.__name__, recording_row)
+        self.assert_paused_and_restored(lambda: emit_report(report, fmt), during, enabled, fails)
 
 
 class TestEmitReport:

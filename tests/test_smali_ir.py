@@ -3,9 +3,10 @@ import operator
 import os
 import re
 import string
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from storescan.detector import DetectorConfig
@@ -25,6 +26,7 @@ from storescan.smali_ir import (
 )
 
 from appgen import class_text, fixture_classes, method_text
+from oracle import invoke_oracle
 
 
 class TestParseClass:
@@ -229,6 +231,65 @@ class TestParseClass:
         assert cls.methods[0].key.class_descriptor == "Lcom/a/B;"
         assert cls.methods[0].key == ("Lcom/a/B;", "f", "()V")
         assert cls.source_file == "com/a/B.smali"
+
+
+_TOKENS = ["L", "a", "b/c", "$", ";", "->", "-", ">", "(", ")", "V", "I", " ", "\t"]
+_PART = st.lists(st.sampled_from(_TOKENS), max_size=5).map("".join)
+
+
+class TestInvokeGrammar:
+    """The one-regex invoke grammar against the two-regex reference, ``invoke_oracle``."""
+
+    @staticmethod
+    def parse(tail: str):
+        line = f"    invoke-static {{v0}}, {tail}"
+        (m,) = parse_class(class_text("La/A;", methods=[method_text("f", body=[line])])).methods
+        return line, m.body[0]
+
+    @given(
+        st.one_of(
+            st.builds(
+                lambda owner, end, name, params, ret: f"L{owner}{end}->{name}({params}){ret}",
+                _PART, st.sampled_from([";", ""]), _PART, _PART, _PART,
+            ),
+            st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join),
+        )
+    )
+    @example("La;->b()V")
+    @example("La->b;->c()V")
+    @example("La->(;->b()V")
+    def test_matches_the_two_regex_reference(self, tail):
+        line, got = self.parse(tail)
+        want = invoke_oracle(line.strip())
+        if want is not None and "->" in want[1]:
+            want = None  # see test_owner_containing_an_arrow_is_no_class
+        if want is None:
+            assert got == line
+        else:
+            assert isinstance(got, Invoke) and (got.kind, *got.target) == want
+
+    def test_owner_containing_an_arrow_is_no_class(self):
+        # The reference's lazy owner group reaches past a "->" when the rest after
+        # the first one fails, and its descriptor check lets "La->(;" through.
+        assert invoke_oracle("invoke-static {}, La->(;->b()V") == ("static", "La->(;", "b", "()V")
+        line, got = self.parse("La->(;->b()V")
+        assert got == line
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "La" + "->a" * 21_800,  # no "(": the reference retries at every "->"
+            "La;->" + "a" * 65_000,
+            "La;->a(" + "I" * 65_000,
+            "La;->a()" + " V" * 32_500,
+            "L" + "a-" * 32_500 + ";->b()V",
+        ],
+        ids=["arrows", "name", "params", "return", "dashes"],
+    )
+    def test_a_64k_line_parses_in_linear_time(self, tail):
+        start = time.perf_counter()
+        self.parse(tail)
+        assert time.perf_counter() - start < 0.1
 
 
 # Strategies for whole classes. Every generated line is one the parser keeps
