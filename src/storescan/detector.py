@@ -7,21 +7,26 @@ is built only for the seeds it reports. Each finding also names, per category,
 a witness chain: the lexically smallest shortest call chain from the seed to
 the closest evidence method.
 
+Both kernels run on the call graph's method ids (see ``CallGraph``), with
+their state in lists indexed by id. Ids sort as the methods do, so sorting ids
+sorts by method identity.
+
 Each reported seed costs one breadth-first search, ring by ring, expanding
-callees sorted by the call graph (``CallGraph`` keeps them so). The first path
-to reach a node is then the lexically smallest of its shortest paths, so the
-BFS parents give the witness chains, and the rings give the evidence in
-(distance, method) order. An evidence row depends only on its method and
-distance, so each is built once per app and shared by every finding that
-reports it; the memo lives for one ``detect_app`` call, so memory stays
-bounded by the largest app.
+callees in id order. The first path to reach a node is then the lexically
+smallest of its shortest paths, so the BFS parents give the witness chains,
+and the rings, each sorted, give the evidence in (distance, method) order. The
+parent pointers are one list per app, and each search resets only the entries
+it set, so a search costs what it reaches, not the size of the app. An
+evidence row depends only on its method and distance, so each is built once
+per app and shared by every finding that reports it; the memo lives for one
+``detect_app`` call, so memory stays bounded by the largest app.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .callgraph import CallGraph, build_callgraph
@@ -95,7 +100,8 @@ def _covering_seeds(g: CallGraph, marks: dict[MethodRef, MarkSet], depth: int) -
     ids = g.ids
     reach = [0] * len(g.nodes)
     for n, ms in marks.items():
-        reach[ids[n]] = sum(1 << i for i, hits in enumerate(ms) if hits)
+        if any(ms):
+            reach[ids[n]] = sum(1 << i for i, hits in enumerate(ms) if hits)
     new = {i: r for i, r in enumerate(reach) if r}  # id -> bits gained in the last round
     if depth > 1 and new:
         callers: list[list[int]] = [[] for _ in reach]
@@ -145,7 +151,7 @@ def detect_app(
     for seed in seeds:
         s = ids[seed]
         parent[s] = s
-        ring = reached = [s]
+        ring, reached = [s], [s]
         found: list[ConditionSet] = []
         for d in range(config.depth):
             if d:

@@ -152,8 +152,7 @@ _encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, str]) -> list[str]:
     """Append ``v`` to ``out`` as ``json.dumps(v, indent=2, ensure_ascii=False)`` writes it at
-    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once, and
-    ``rendered`` keeps its text with the list separator in front."""
+    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once."""
     if isinstance(v, str):
         out.append(_encode_str(v))
     elif isinstance(v, int):
@@ -177,13 +176,11 @@ def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, st
             # The cached texts go into ``out`` as they are: joining them would copy each
             # row once per finding that reports it.
             get = rendered.get
-            start = len(out)
-            for e in v:
+            for i, e in enumerate(v):
                 text = get(e)
                 if text is None:
-                    text = rendered[e] = sep + "".join(_write_json(_evidence_row(e), inner, [], rendered))
-                out.append(text)
-            out[start] = "[" + out[start][1:]  # "[\n" + inner + the first row
+                    text = rendered[e] = "".join(_write_json(_evidence_row(e), inner, [], rendered))
+                out += (sep if i else "[\n" + inner, text)
         elif kinds == {str}:
             out += ("[\n", inner, sep.join(map(_encode_str, v)))
         else:

@@ -248,12 +248,12 @@ class TestCoveringSeeds:
             got = self.assert_matches_references(adjacency, category_nodes, node, g, marks, depth)
             assert got == [node[i] for i in want]
             assert callee_reads(g, marks, depth) == len(node)
-        # A 4,000-method chain at depth 4,001 that every method satisfies: full
-        # passes would visit 4,000 x 4,000 edges, seconds of work.
-        adjacency = {i: [i + 1] for i in range(3999)} | {3999: []}
-        node, g, marks = int_graph(adjacency, ({3999}, {3999}, {3999}))
+        # An 8,000-method chain at depth 8,001 that every method satisfies: full
+        # passes would visit 8,000 x 8,000 edges, seconds of work.
+        adjacency = {i: [i + 1] for i in range(7999)} | {7999: []}
+        node, g, marks = int_graph(adjacency, ({7999}, {7999}, {7999}))
         start = time.perf_counter()
-        assert _covering_seeds(g, marks, 4001) == node
+        assert _covering_seeds(g, marks, 8001) == node
         assert time.perf_counter() - start < 1.0
 
     def test_small_cycle_stops_at_the_fixpoint(self):
