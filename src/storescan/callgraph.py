@@ -20,10 +20,13 @@ class CallGraph:
 
     def __init__(self, edges: Mapping[MethodRef, Iterable[MethodRef]]):
         """Number ``edges``' keys. A callee that is not a key gets no edge."""
-        self.nodes = sorted(edges)
-        self.ids = ids = {n: i for i, n in enumerate(self.nodes)}
-        get = ids.get
-        self.callees = [sorted({i for c in edges[n] if (i := get(c)) is not None}) for n in self.nodes]
+        self.nodes = nodes = sorted(edges)
+        self.ids = ids = {n: i for i, n in enumerate(nodes)}
+        self.callees = callees = []
+        for n in nodes:
+            called = set(map(ids.get, edges[n]))
+            called.discard(None)
+            callees.append(sorted(called))
 
     @property
     def edges(self) -> Mapping[MethodRef, list[MethodRef]]:

@@ -97,11 +97,12 @@ class AppModel:
 
 
 _CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
-# The owner is a class descriptor that does not contain "->". It ends at its
-# first ";", so the match is linear in the line's length.
+# The owner is a class descriptor that does not contain "->": runs of other
+# characters, each "-" not followed by ">". It ends at its first ";", so the
+# match is linear in the line's length.
 _INVOKE_RE = re.compile(
     r"^invoke-(virtual|super|direct|static|interface)(?:/range)?\s+"
-    r"\{[^}]*\}\s*,\s*(L(?:[^\s;-]|-(?!>))+;)->([^\s(]+)(\([^)]*\)\S+)$"
+    r"\{[^}]*\}\s*,\s*(L(?=[^\s;])[^\s;-]*(?:-(?!>)[^\s;-]*)*;)->([^\s(]+)(\([^)]*\)\S+)$"
 )
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
 _METHOD_SIG_RE = re.compile(r"^([^\s(]+)(\([^)]*\)\S+)$")
