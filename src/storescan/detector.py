@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .callgraph import CallGraph, build_callgraph
 from .rules import (
     KeywordHit,
+    MarkMemo,
     MarkSet,
     PathSourceHit,
     RuleSet,
@@ -134,7 +135,8 @@ def detect_app(
     app's call graph when the caller has already built it.
     """
     g = build_callgraph(app) if graph is None else graph
-    marks = {m.key: mark_function(m, config.rules) for cls in app.classes for m in cls.methods}
+    memo = MarkMemo(config.rules)
+    marks = {m.key: mark_function(m, config.rules, memo) for cls in app.classes for m in cls.methods}
     seeds = _covering_seeds(g, marks, config.depth)
     if not seeds:
         return DetectionResult(app.app_id, [])

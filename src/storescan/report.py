@@ -3,7 +3,7 @@
 ``scan_corpus`` and ``emit_report`` pause the cyclic garbage collector. A scan and
 its report build no reference cycles (``tests/test_report.py::TestNoCycles`` pins
 this), so reference counting frees each app as the next replaces it; the
-collector's passes would only re-walk the app model and the report tree.
+collector's passes would only re-walk the app model and the report.
 """
 
 from __future__ import annotations
@@ -11,13 +11,15 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 from .callgraph import build_callgraph, edge_list_text
-from .detector import DetectionResult, DetectorConfig, Evidence, detect_app
+from .detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
 from .smali_ir import DuplicateClassError, _escape_string, parse_app_dir, unreadable_reason
 
@@ -81,10 +83,10 @@ def scan_corpus(
     deterministic edge list. Raises the OS's own OSError when ``root`` cannot
     be listed.
     """
-    app_dirs = sorted(p for p in Path(root).iterdir() if p.is_dir())
+    with os.scandir(root) as entries:
+        app_dirs = sorted((e.name, e.path) for e in entries if e.is_dir())
     results: list[DetectionResult] = []
-    for app_dir in app_dirs:
-        app_id = app_dir.name
+    for app_id, app_dir in app_dirs:
         try:
             app, diagnostics = parse_app_dir(app_dir, app_id)
         except (DuplicateClassError, OSError) as exc:
@@ -102,95 +104,89 @@ def scan_corpus(
     return CorpusReport(config, results)
 
 
-def _evidence_row(e: Evidence) -> dict:
-    if isinstance(e.hit, KeywordHit):
-        row = {"value": e.hit.value, "keyword": e.hit.keyword}
-    elif isinstance(e.hit, PathSourceHit):
-        row = {"evidence": e.hit.evidence}
+# The JSON writer fills literal-indent templates, byte for byte as json.dumps(tree, indent=2,
+# ensure_ascii=False) writes the report's tree (``report_to_dict`` in ``tests/oracle.py``),
+# with strings put through json.dumps's own encoder. json.dumps is not called: its
+# indenting encoder makes a reference cycle, which the paused collector would never free.
+_str = json.encoder.encode_basestring
+_HEADER = """{{
+  "schema_version": {version},
+  "config": {{
+    "depth": {depth},
+    "rules_digest": {digest}
+  }},
+  "totals": {{
+    "apps_scanned": {0},
+    "apps_flagged": {1},
+    "parse_diagnostics": {2}
+  }},
+  "apps": """
+
+
+def _json_row(e: Evidence) -> str:
+    """One evidence row, its braces 14 spaces in."""
+    hit = e.hit
+    if isinstance(hit, KeywordHit):
+        head = f'"value": {_str(hit.value)},\n                "keyword": {_str(hit.keyword)}'
+    elif isinstance(hit, PathSourceHit):
+        head = f'"evidence": {_str(hit.evidence)}'
     else:
-        row = {"target": str(e.hit.target)}
-    return {**row, "method": str(e.method), "line": e.hit.line, "distance": e.distance}
+        head = f'"target": {_str(str(hit.target))}'
+    return (f'{{\n                {head},\n                "method": {_str(str(e.method))},\n'
+            f'                "line": {hit.line},\n                "distance": {e.distance}\n              }}')
 
 
-def _report_tree(report: CorpusReport, rows: Callable[[list[Evidence]], list]) -> dict:
-    """The report's one shape; ``rows`` makes each category's list from its evidence."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": {
-            "depth": report.config.depth,
-            "rules_digest": ruleset_digest(report.config.rules),
-        },
-        "totals": report.totals._asdict(),
-        "apps": [
-            {
-                "app_id": r.app_id,
-                "flagged": r.flagged,
-                "diagnostics": list(r.diagnostics),
-                "findings": [
-                    {
-                        "seed": str(f.seed),
-                        "categories": {c: rows(ev) for c, ev in f.conditions._asdict().items()},
-                        "witness_chains": {
-                            c: [str(k) for k in chain] for c, chain in f.witness_chains.items()
-                        },
-                    }
-                    for f in r.findings
-                ],
-            }
-            for r in report.apps
-        ],
-    }
+def _put_list(out: list[str], items: list[str], pad: str) -> None:
+    """Append JSON texts ``items`` as a list whose brackets sit ``pad`` in. The
+    items go into ``out`` as they are, so a shared row is not copied per finding."""
+    if not items:
+        out.append("[]")
+        return
+    out.append("[\n  " + pad)
+    out += chain.from_iterable(zip(items, repeat(",\n  " + pad)))
+    out[-1] = "\n" + pad + "]"  # in place of the separator after the last item
 
 
-def report_to_dict(report: CorpusReport) -> dict:
-    """The JSON report as data; ``emit_report`` writes it as ``json.dumps(indent=2)`` would."""
-    return _report_tree(report, lambda ev: [_evidence_row(e) for e in ev])
+def _put_dict(out: list[str], items: list[tuple[str, list[str]]], pad: str) -> None:
+    """Append ``(key, list of JSON texts)`` pairs as an object whose braces sit ``pad`` in."""
+    if not items:
+        out.append("{}")
+        return
+    for i, (key, values) in enumerate(items):
+        out += (",\n  " if i else "{\n  ", pad, _str(key), ": ")
+        _put_list(out, values, pad + "  ")
+    out.append("\n" + pad + "}")
 
 
-_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+def _put_app(out: list[str], r: DetectionResult) -> None:
+    """Append one app's object, its braces 4 spaces in."""
+    out += ('{\n      "app_id": ', _str(r.app_id),
+            ',\n      "flagged": ', "true" if r.flagged else "false", ',\n      "diagnostics": ')
+    _put_list(out, list(map(_str, r.diagnostics)), "      ")
+    out.append(',\n      "findings": ')
+    # Seeds share evidence rows (see ``detect_app``), so each is rendered once. The
+    # report keeps every row alive, so a row's id is a key, and cheaper than its hash.
+    rendered: dict[int, str] = {}
+    get, put = rendered.get, rendered.setdefault
+    for i, f in enumerate(r.findings):
+        out += (",\n        " if i else "[\n        ", '{\n          "seed": ', _str(str(f.seed)),
+                ',\n          "categories": ')
+        _put_dict(out, [(c, [get(id(e)) or put(id(e), _json_row(e)) for e in ev])
+                        for c, ev in zip(ConditionSet._fields, f.conditions)], "          ")
+        out.append(',\n          "witness_chains": ')
+        _put_dict(out, [(c, [_str(str(k)) for k in path]) for c, path in f.witness_chains.items()], "          ")
+        out.append("\n        }")
+    out.append("\n      ]\n    }" if r.findings else "[]\n    }")
 
 
-def _write_json(v: object, pad: str, out: list[str], rendered: dict[Evidence, str]) -> list[str]:
-    """Append ``v`` to ``out`` as ``json.dumps(v, indent=2, ensure_ascii=False)`` writes it at
-    indent ``pad``. Each distinct ``Evidence`` (all sit at one depth) is rendered once."""
-    if isinstance(v, str):
-        out.append(_encode_str(v))
-    elif isinstance(v, int):
-        out.append(("true" if v else "false") if isinstance(v, bool) else int.__repr__(v))
-    elif isinstance(v, dict):
-        inner = pad + "  "
-        for i, (k, x) in enumerate(v.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            out += (",\n" if i else "{\n", inner, _encode_str(k), ": ")
-            _write_json(x, inner, out, rendered)
-        out.append("\n" + pad + "}" if v else "{}")
-    elif isinstance(v, list):
-        if not v:
-            out.append("[]")
-            return out
-        inner = pad + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, v))
-        if kinds == {Evidence}:
-            # The cached texts go into ``out`` as they are: joining them would copy each
-            # row once per finding that reports it.
-            get = rendered.get
-            for i, e in enumerate(v):
-                text = get(e)
-                if text is None:
-                    text = rendered[e] = "".join(_write_json(_evidence_row(e), inner, [], rendered))
-                out += (sep if i else "[\n" + inner, text)
-        elif kinds == {str}:
-            out += ("[\n", inner, sep.join(map(_encode_str, v)))
-        else:
-            for i, x in enumerate(v):
-                out.append(sep if i else "[\n" + inner)
-                _write_json(x, inner, out, rendered)
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    return out
+def _json_report(report: CorpusReport) -> str:
+    out = [_HEADER.format(*report.totals, version=_str(SCHEMA_VERSION), depth=report.config.depth,
+                          digest=_str(ruleset_digest(report.config.rules)))]
+    for i, r in enumerate(report.apps):
+        out.append(",\n    " if i else "[\n    ")
+        _put_app(out, r)
+    out.append("\n  ]\n}\n" if report.apps else "[]\n}\n")
+    return "".join(out)
 
 
 def _text_row(category: str, e: Evidence) -> str:
@@ -224,9 +220,7 @@ def _text_report(report: CorpusReport) -> str:
 def emit_report(report: CorpusReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports yield byte-identical output."""
     if fmt == "json":
-        out = _write_json(_report_tree(report, list), "", [], {})
-        out.append("\n")
-        return "".join(out)
+        return _json_report(report)
     if fmt == "text":
         return _text_report(report)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -83,7 +83,7 @@ class RuleSet:
                 raise RuleFormatError(f"empty entry in {section}")
             elif section == "hardcoded_paths":
                 for p in entries:
-                    if p.endswith("/"):  # _matches_hardcoded_prefix appends its own "/"
+                    if p.endswith("/"):  # MarkMemo appends its own "/"
                         raise RuleFormatError(
                             f"hardcoded path {p!r} only matches itself: drop the trailing /")
             if len(set(entries)) != len(entries):
@@ -142,36 +142,49 @@ def match_keyword(s: str, keywords: list[str]) -> list[str]:
     return [kw for kw in keywords if kw in tokens]
 
 
-def _matches_hardcoded_prefix(value: str, prefixes: list[str]) -> bool:
-    # Prefix must be followed by '/' or end the string: "/sdcard" and
-    # "/sdcard/x" hit, "/sdcards/x" does not.
-    return any(value == p or value.startswith(p + "/") for p in prefixes)
+class MarkMemo:
+    """``mark_function``'s lookups for one app: the rule sets, built once, and the
+    match of each distinct string constant seen so far. ``detect_app`` makes one
+    per app, so its size is bounded by the largest app. Invoke targets are not
+    kept: most are distinct, and two set lookups by name cost less than keeping them."""
+
+    def __init__(self, rules: RuleSet):
+        self.path_apis = frozenset(rules.path_apis)
+        self.sinks = frozenset(rules.write_sinks)
+        self.sink_names = frozenset(name for _, name in rules.write_sinks)
+        # Tested on value + "/": "/sdcard" matches "/sdcard" and "/sdcard/x", not "/sdcards".
+        self.path_prefixes = tuple(p + "/" for p in rules.hardcoded_paths)
+        self.strings: dict[str, tuple[list[str], bool]] = {}  # value -> (keywords, hardcoded path?)
 
 
-def mark_function(m: MethodDef, rules: RuleSet) -> MarkSet:
+def mark_function(m: MethodDef, rules: RuleSet, memo: MarkMemo | None = None) -> MarkSet:
     """Compute the method's rule hits, each with its source line.
 
     Path APIs are matched by method name on any declaring class; hardcoded
-    paths and keywords are matched on string constants only.
+    paths and keywords are matched on string constants only. ``memo``, made
+    from the same ``rules``, carries lookups from one method of an app to the next.
     """
-    api_names = set(rules.path_apis)
-    sinks = set(rules.write_sinks)
-    keyword_hits: list[KeywordHit] = []
-    path_source_hits: list[PathSourceHit] = []
-    write_sink_hits: list[WriteSinkHit] = []
+    memo = memo or MarkMemo(rules)
+    strings = memo.strings
+    hits = MarkSet([], [], [])
     for ins in m.body:
         if isinstance(ins, Invoke):
             t = ins.target
-            if t.name in api_names:
-                path_source_hits.append(PathSourceHit(t.name, ins.source_line))
-            if (t.class_descriptor, t.name) in sinks:
-                write_sink_hits.append(WriteSinkHit(t, ins.source_line))
+            if t.name in memo.path_apis:
+                hits.path_source_hits.append(PathSourceHit(t.name, ins.source_line))
+            if t.name in memo.sink_names and (t.class_descriptor, t.name) in memo.sinks:
+                hits.write_sink_hits.append(WriteSinkHit(t, ins.source_line))
         elif isinstance(ins, StringConst):
-            for kw in match_keyword(ins.value, rules.keywords):
-                keyword_hits.append(KeywordHit(ins.value, kw, ins.source_line))
-            if _matches_hardcoded_prefix(ins.value, rules.hardcoded_paths):
-                path_source_hits.append(PathSourceHit(ins.value, ins.source_line))
-    return MarkSet(keyword_hits, path_source_hits, write_sink_hits)
+            value = ins.value
+            match = strings.get(value)
+            if match is None:
+                match = strings[value] = (match_keyword(value, rules.keywords),
+                                          (value + "/").startswith(memo.path_prefixes))
+            for kw in match[0]:
+                hits.keyword_hits.append(KeywordHit(value, kw, ins.source_line))
+            if match[1]:
+                hits.path_source_hits.append(PathSourceHit(value, ins.source_line))
+    return hits
 
 
 def load_ruleset(file: str | Path) -> RuleSet:

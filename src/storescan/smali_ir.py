@@ -1,10 +1,10 @@
-"""Parser and renderer for a pragmatic subset of the smali class-file format.
+"""Parser for a pragmatic subset of the smali class-file format.
 
 Only the instruction families the detection rules consume are interpreted:
 ``invoke-*`` and ``const-string`` (including ``/jumbo``). Every other body
-line, ``new-instance`` included, is kept as its own text, a plain ``str``,
-and rendered back unchanged. Interpreted lines are rendered from their
-structure, so a re-parse of a rendered class is structurally identical.
+line, ``new-instance`` included, is kept as its own text, a plain ``str``, so
+the model can be rendered back to smali that re-parses structurally identical
+(``render_class`` in ``tests/appgen.py``).
 
 String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
 or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
@@ -126,21 +126,6 @@ def _escape_string(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[0]) or f"\\u{ord(m[0]):04x}", s)
 
 
-def _parse_instruction(raw: str, stripped: str, lineno: int) -> Instruction:
-    # Lines that look like an interpreted family but fail its grammar stay
-    # uninterpreted text; only directives raise.
-    if stripped.startswith("invoke-"):
-        m = _INVOKE_RE.match(stripped)
-        if m:
-            kind, cls, name, proto = m.groups()
-            return Invoke(kind, MethodRef(cls, name, proto), lineno)
-    elif stripped.startswith("const-string"):
-        m = _CONST_STRING_RE.match(stripped)
-        if m:
-            return StringConst(_unescape_string(m.group(1)), lineno)
-    return raw
-
-
 def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) -> tuple[list[str], re.Match]:
     """Split a `.class` or `.method` line into its flags and the match of its last token."""
     tokens = stripped.split()
@@ -173,22 +158,36 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
 
     for lineno, raw in enumerate(lines, 1):
         stripped = raw.strip()
-        # Directives and ".end method" start with "."; other lines need no head token.
-        head = stripped.split(maxsplit=1)[0] if stripped.startswith(".") else ""
-
         if cur is not None:
-            if stripped == ".end method":
-                methods.append(cur)
-                cur = None
-            elif head == ".method":
-                raise SmaliParseError(
-                    f".method {cur.key.name}{cur.key.proto} (line {cur_line}) not closed before next .method",
-                    lineno,
-                )
-            else:
-                cur.body.append(_parse_instruction(raw, stripped, lineno))
+            # Dispatch on the first character; most body lines start with none of "i"
+            # (invoke-), "c" (const-string) or "." (directive). A line that fails its
+            # family's grammar stays uninterpreted text.
+            first = stripped[:1]
+            if first == "i":
+                m = _INVOKE_RE.match(stripped)
+                if m:
+                    body.append(Invoke(m[1], MethodRef._make(m.group(2, 3, 4)), lineno))
+                    continue
+            elif first == "c":
+                m = _CONST_STRING_RE.match(stripped)
+                if m:
+                    body.append(StringConst(_unescape_string(m[1]), lineno))
+                    continue
+            elif first == ".":
+                if stripped == ".end method":
+                    methods.append(cur)
+                    cur = None
+                    continue
+                if stripped.startswith(".method") and stripped.split(maxsplit=1)[0] == ".method":
+                    raise SmaliParseError(
+                        f".method {cur.key.name}{cur.key.proto} (line {cur_line}) not closed before next .method",
+                        lineno,
+                    )
+            body.append(raw)
             continue
 
+        # Directives and ".end method" start with "."; other lines need no head token.
+        head = stripped.split(maxsplit=1)[0] if stripped.startswith(".") else ""
         if head == ".class":
             if descriptor is not None:
                 raise SmaliParseError("duplicate .class directive", lineno)
@@ -210,6 +209,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
                 raise SmaliParseError(f"duplicate method {key.name}{key.proto}", lineno)
             seen_methods.add(key)
             cur, cur_line = MethodDef(key, flags), lineno
+            body = cur.body
         elif stripped == ".end method":
             raise SmaliParseError(".end method outside a method", lineno)
         elif stripped:
@@ -231,23 +231,35 @@ def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:
 
 
 def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
-    """Parse every ``*.smali`` file under ``root`` (recursively) into an AppModel.
-
-    Files that fail to parse are skipped and reported in the returned
-    diagnostics list; classes are ordered by relative path so repeated runs
-    produce identical models. Raises DuplicateClassError when two files
-    declare the same descriptor, and the OS's own OSError when root is
-    missing, not a directory or unreadable.
+    """Parse every ``*.smali`` entry under ``root``, not descending symlinked
+    directories, into an AppModel whose classes are ordered by POSIX path relative
+    to ``root``. Subdirectories that cannot be listed, then files that fail to
+    read or parse, are skipped and reported in the returned diagnostics by that
+    path. Raises DuplicateClassError when two files declare the same descriptor,
+    and the OS's own OSError when root is missing, not a directory or unreadable.
     """
-    root = Path(root)
-    os.scandir(root).close()  # rglob would skip an unreadable root without a word
-    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob(f"*{SMALI_EXTENSION}"))
+    top = os.fspath(root)
+    cut = len(os.path.join(top, ""))  # os.walk names each entry os.path.join(dirpath, name)
+    # The directories os.walk cannot list. A Python onerror that raised would keep
+    # the exception in a frame its own traceback holds: a reference cycle.
+    unlisted: list[OSError] = []
+    files = []
+    for dirpath, dirnames, filenames in os.walk(top, onerror=unlisted.append):
+        for name in dirnames + filenames:  # a directory named *.smali is an unreadable file
+            if name.endswith(SMALI_EXTENSION):
+                path = os.path.join(dirpath, name)
+                files.append((path[cut:], path))
+    if unlisted and unlisted[0].filename == top:
+        raise unlisted.pop()
+    diagnostics = sorted(f"{exc.filename[cut:]}: {unreadable_reason(exc)}" for exc in unlisted)
+    unlisted.clear()  # each traceback holds os.walk's frame, which holds this list
+    files.sort()
     classes: list[ClassDef] = []
-    diagnostics: list[str] = []
     seen: dict[str, str] = {}
     for rel, path in files:
         try:
-            text = path.read_text(encoding="utf-8-sig")
+            with open(path, encoding="utf-8-sig") as f:
+                text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: {unreadable_reason(exc)}")
             continue
@@ -263,25 +275,3 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
         seen[cls.descriptor] = rel
         classes.append(cls)
     return AppModel(app_id, classes), diagnostics
-
-
-def _render_instruction(ins: Instruction) -> str:
-    if isinstance(ins, str):
-        return ins
-    if isinstance(ins, Invoke):
-        return f"    invoke-{ins.kind} {{}}, {ins.target}"
-    return f'    const-string v0, "{_escape_string(ins.value)}"'
-
-
-def render_class(cls: ClassDef) -> str:
-    """Emit smali text whose re-parse is structurally identical to ``cls``."""
-    parts = [" ".join([".class", *cls.flags, cls.descriptor])]
-    if cls.super_descriptor:
-        parts.append(f".super {cls.super_descriptor}")
-    parts.extend(cls.metadata)
-    for m in cls.methods:
-        parts.append("")
-        parts.append(" ".join([".method", *m.flags, f"{m.key.name}{m.key.proto}"]))
-        parts.extend(_render_instruction(ins) for ins in m.body)
-        parts.append(".end method")
-    return "\n".join(parts) + "\n"

@@ -9,7 +9,16 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst
+from storescan.smali_ir import (
+    AppModel,
+    ClassDef,
+    Instruction,
+    Invoke,
+    MethodDef,
+    MethodRef,
+    StringConst,
+    _escape_string,
+)
 
 # Rotating pools. Keyword strings each hit exactly one default keyword and
 # never start with a hardcoded path prefix; sdcard strings hit a hardcoded
@@ -427,3 +436,26 @@ def write_corpus(root, apps: list[PlantedApp]) -> None:
             path = root / app.app_id / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
+
+
+def _render_instruction(ins: Instruction) -> str:
+    if isinstance(ins, str):
+        return ins
+    if isinstance(ins, Invoke):
+        return f"    invoke-{ins.kind} {{}}, {ins.target}"
+    return f'    const-string v0, "{_escape_string(ins.value)}"'
+
+
+def render_class(cls: ClassDef) -> str:
+    """Emit smali text whose re-parse is structurally identical to ``cls``: an
+    uninterpreted line as it stands, an interpreted one from its structure."""
+    parts = [" ".join([".class", *cls.flags, cls.descriptor])]
+    if cls.super_descriptor:
+        parts.append(f".super {cls.super_descriptor}")
+    parts.extend(cls.metadata)
+    for m in cls.methods:
+        parts.append("")
+        parts.append(" ".join([".method", *m.flags, f"{m.key.name}{m.key.proto}"]))
+        parts.extend(_render_instruction(ins) for ins in m.body)
+        parts.append(".end method")
+    return "\n".join(parts) + "\n"

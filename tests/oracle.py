@@ -3,7 +3,9 @@
 The brute-force oracles are deliberately built on networkx rather than the
 package's own graph code. ``accumulate`` is the plain per-seed evidence
 search over ``distances_within``: ``detect_app`` must report, for every seed
-it flags, exactly the evidence ``accumulate`` finds.
+it flags, exactly the evidence ``accumulate`` finds. ``report_to_dict`` is the
+JSON report as data: ``emit_report(r, "json")`` must equal
+``json.dumps(report_to_dict(r), indent=2, ensure_ascii=False) + "\n"``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import networkx as nx
 
 from storescan.callgraph import CallGraph
 from storescan.detector import ConditionSet, Evidence
-from storescan.rules import MarkSet
+from storescan.report import SCHEMA_VERSION, CorpusReport
+from storescan.rules import KeywordHit, MarkSet, PathSourceHit, ruleset_digest
 from storescan.smali_ir import MethodRef
 
 
@@ -146,4 +149,46 @@ def evidence_oracle(adjacency: dict, marks: dict, seed, depth: int) -> dict[str,
         "keyword": [(n, h, dist[n]) for n in nodes for h in marks[n].keyword_hits],
         "path_source": [(n, h, dist[n]) for n in nodes for h in marks[n].path_source_hits],
         "write_sink": [(n, h, dist[n]) for n in nodes for h in marks[n].write_sink_hits],
+    }
+
+
+def _evidence_row(e: Evidence) -> dict:
+    if isinstance(e.hit, KeywordHit):
+        row = {"value": e.hit.value, "keyword": e.hit.keyword}
+    elif isinstance(e.hit, PathSourceHit):
+        row = {"evidence": e.hit.evidence}
+    else:
+        row = {"target": str(e.hit.target)}
+    return {**row, "method": str(e.method), "line": e.hit.line, "distance": e.distance}
+
+
+def report_to_dict(report: CorpusReport) -> dict:
+    """The JSON report as data, in the schema's key order."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": {
+            "depth": report.config.depth,
+            "rules_digest": ruleset_digest(report.config.rules),
+        },
+        "totals": report.totals._asdict(),
+        "apps": [
+            {
+                "app_id": r.app_id,
+                "flagged": r.flagged,
+                "diagnostics": list(r.diagnostics),
+                "findings": [
+                    {
+                        "seed": str(f.seed),
+                        "categories": {
+                            c: [_evidence_row(e) for e in ev] for c, ev in f.conditions._asdict().items()
+                        },
+                        "witness_chains": {
+                            c: [str(k) for k in chain] for c, chain in f.witness_chains.items()
+                        },
+                    }
+                    for f in r.findings
+                ],
+            }
+            for r in report.apps
+        ],
     }

@@ -14,9 +14,9 @@ from storescan.callgraph import build_callgraph
 from storescan.detector import DetectorConfig, detect_app
 from storescan.report import scan_corpus
 from storescan.rules import default_ruleset, mark_function, match_keyword
-from storescan.smali_ir import parse_class, render_class
+from storescan.smali_ir import parse_class
 
-from appgen import fixture_classes, planted_corpus, random_instance, write_corpus
+from appgen import fixture_classes, planted_corpus, random_instance, render_class, write_corpus
 from conftest import cli_env, load_report_schema
 from oracle import accumulate, flagged_oracle
 

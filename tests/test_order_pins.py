@@ -19,9 +19,9 @@ import pytest
 
 from storescan.detector import DetectorConfig
 from storescan.report import emit_report, scan_corpus
-from storescan.smali_ir import ClassDef, Invoke, MethodDef, MethodRef, render_class
+from storescan.smali_ir import ClassDef, Invoke, MethodDef, MethodRef
 
-from appgen import random_instance
+from appgen import random_instance, render_class
 from conftest import cli_env
 
 APPS = 16

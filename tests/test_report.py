@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from storescan import detector as detector_module
 from storescan import report as report_module
 from storescan.callgraph import build_callgraph
-from storescan.detector import DetectorConfig, detect_app
-from storescan.report import CorpusReport, emit_report, report_to_dict, scan_corpus
-from storescan.rules import default_ruleset, ruleset_digest
-from storescan.smali_ir import parse_app_dir, render_class
+from storescan.detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, Finding, detect_app
+from storescan.report import CorpusReport, emit_report, scan_corpus
+from storescan.rules import KeywordHit, PathSourceHit, WriteSinkHit, default_ruleset, ruleset_digest
+from storescan.smali_ir import MethodRef, parse_app_dir
 
-from appgen import class_text, const_string_line, invoke_line, method_text, random_instance
+from appgen import class_text, const_string_line, invoke_line, method_text, random_instance, render_class
 from conftest import CLEAN_CLASS, VULN_CLASS, load_report_schema
+from oracle import report_to_dict
 
 
 GOLDEN_TEXT = """\
@@ -395,6 +396,25 @@ class TestNoCycles:
         assert sum(r.flagged for r in scan(tmp_path, 6).apps) >= 2
         assert unreachable_after(lambda: _scan_and_emit(tmp_path, 6)) == 0
 
+    def test_unlistable_directories_leave_no_cyclic_garbage(self, chain_corpus, monkeypatch):
+        # os.walk hands each listing error to parse_app_dir, which raises the app
+        # root's and reports a subdirectory's; neither may keep a cycle alive.
+        (chain_corpus / "app_bad" / "sub").mkdir()
+        denied = {str(chain_corpus / "app_ok1"), str(chain_corpus / "app_bad" / "sub")}
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if os.fspath(path) in denied:
+                raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        rows = {r.app_id: r for r in scan(chain_corpus).apps}
+        assert rows["app_ok1"].diagnostics == ["app not scanned: unreadable: [Errno 13] Permission denied"]
+        assert rows["app_bad"].diagnostics == ["sub: unreadable: [Errno 13] Permission denied"]
+        assert rows["app_bad"].flagged
+        assert unreachable_after(lambda: _scan_and_emit(chain_corpus)) == 0
+
 
 class TestCollectorState:
     """``scan_corpus`` and ``emit_report`` pause the collector, and give the
@@ -435,7 +455,7 @@ class TestCollectorState:
     def test_emit_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails, fmt):
         report = scan(chain_corpus)
         during = []
-        row = report_module._evidence_row if fmt == "json" else report_module._text_row
+        row = report_module._json_row if fmt == "json" else report_module._text_row
 
         def recording_row(*args):
             during.append(gc.isenabled())
@@ -539,43 +559,56 @@ class TestEmitReport:
         assert finding["witness_chains"]["write_sink"] == ["Lfx/Vuln;->run()V"]
 
 
-def write_json(tree) -> str:
-    return "".join(report_module._write_json(tree, "", [], {}))
-
-
-# Characters json.dumps escapes or passes through specially, mixed with arbitrary text.
+# Characters json.dumps escapes or passes through specially, lone surrogates among
+# them, mixed with arbitrary text.
 json_strings = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029é€😀'), st.characters())
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029\ud800\udfffé€😀'), st.characters()),
+    max_size=8,
 )
-json_scalars = st.one_of(
-    json_strings,
-    st.integers(),
-    st.sampled_from([0, -1, 2**63, -(2**63) - 1, 10**100, -(10**300)]),
-    st.booleans(),
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(json_strings, children, max_size=4),
-    max_leaves=40,
-)
+lines = st.integers(0, 2**31)
+
+
+@st.composite
+def reports(draw) -> CorpusReport:
+    """Reports of any shape the writer may meet. Each app draws its methods, and
+    its rows, from a pool of its own, so rows repeat within an app as
+    ``detect_app``'s do."""
+    apps = []
+    for app_id in draw(st.lists(json_strings, max_size=3)):
+        refs = st.sampled_from(draw(st.lists(
+            st.builds(MethodRef, st.sampled_from(["La/A;", "Lb/B;"]), json_strings, st.just("()V")),
+            min_size=1, max_size=3)))
+        hits = st.one_of(
+            st.builds(KeywordHit, json_strings, json_strings, lines),
+            st.builds(PathSourceHit, json_strings, lines),
+            st.builds(WriteSinkHit, refs, lines),
+        )
+        rows = st.lists(st.sampled_from(draw(st.lists(st.builds(Evidence, refs, hits, st.integers(0, 50)),
+                                                      min_size=1, max_size=4))), max_size=3)
+        chains = st.dictionaries(st.sampled_from(ConditionSet._fields), st.lists(refs, max_size=2))
+        findings = st.lists(st.builds(Finding, refs, st.builds(ConditionSet, rows, rows, rows), chains),
+                            max_size=3)
+        apps.append(DetectionResult(app_id, draw(findings), draw(st.lists(json_strings, max_size=3))))
+    return CorpusReport(DetectorConfig(depth=draw(st.integers(1, 10**6))), apps)
 
 
 class TestJsonWriter:
-    @given(json_trees)
-    @example([[], {}])
-    @example({"a": {}, "b": [[]], "": [{"c": []}]})
-    def test_matches_json_dumps(self, tree):
-        assert write_json(tree) == json.dumps(tree, indent=2, ensure_ascii=False)
+    @given(reports())
+    @example(CorpusReport(DetectorConfig(), []))
+    @example(CorpusReport(DetectorConfig(), [DetectionResult("a\ud800", [], ["B.smali: unreadable: x"])]))
+    def test_matches_json_dumps(self, report):
+        expected = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+        assert emit_report(report, "json") == expected
 
     @pytest.mark.parametrize(
         "tree", [1.5, None, ("a", 1), [1, 2.0], {"a": None}, {"a": [("b",)]}, {1: "a"}]
     )
     def test_other_types_raise_type_error(self, tree):
-        # json.dumps would write a tuple as a list and coerce a non-str key; the
-        # report tree never holds either, so the writer refuses them.
+        # Every string field goes through json's str encoder, which refuses any
+        # other type; json.dumps would write each of these as some other JSON value.
+        report = CorpusReport(DetectorConfig(), [DetectionResult(tree, [], [])])
         with pytest.raises(TypeError):
-            write_json(tree)
+            emit_report(report, "json")
 
     def test_dense_report_matches_json_dumps_of_report_to_dict(self):
         # Dense random apps at depth 6: many seeds reach the same evidence rows,

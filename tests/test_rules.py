@@ -1,10 +1,15 @@
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from storescan import detector as detector_module
+from storescan import rules as rules_module
+from storescan.detector import DetectorConfig, detect_app
 from storescan.rules import (
+    MarkMemo,
     RuleFormatError,
     RuleSet,
     default_ruleset,
@@ -13,9 +18,9 @@ from storescan.rules import (
     match_keyword,
     ruleset_digest,
 )
-from storescan.smali_ir import Invoke, MethodDef, MethodRef, StringConst, parse_class
+from storescan.smali_ir import AppModel, ClassDef, Invoke, MethodDef, MethodRef, StringConst, parse_class
 
-from appgen import class_text, method_text
+from appgen import KEYWORD_STRINGS, PATH_API_CALLS, SAFE_STRINGS, SDCARD_STRINGS, class_text, method_text
 
 
 class TestDefaultRuleset:
@@ -243,6 +248,65 @@ class TestMarkFunction:
             assert by_line[h.line].value == h.evidence
         for h in marks.write_sink_hits:
             assert by_line[h.line].target == h.target
+
+
+def app_of(app_id: str, bodies: list[list]) -> AppModel:
+    methods = [MethodDef(MethodRef("La/A;", f"f{i}", "()V"), [], body) for i, body in enumerate(bodies)]
+    return AppModel(app_id, [ClassDef("La/A;", methods=methods)])
+
+
+# Constants and invoke targets that hit each rule, and ones that hit none.
+constants = st.sampled_from(KEYWORD_STRINGS + SDCARD_STRINGS + SAFE_STRINGS + ["/sdcards/log", "/sdcard/"]) | st.text()
+targets = st.sampled_from(
+    [MethodRef(cls, name, proto) for _, cls, name, proto in PATH_API_CALLS]
+    + [MethodRef("Ljava/io/File;", "mkdirs", "()Z"), MethodRef("Lx/File;", "mkdirs", "()Z"),
+       MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V")]
+)
+instructions = st.builds(StringConst, constants, st.integers(1, 99)) | st.builds(
+    Invoke, st.just("virtual"), targets, st.integers(1, 99)) | st.sampled_from(["    nop", "    return-void"])
+
+
+class TestMarkMemo:
+    """``detect_app`` marks each app's methods with one ``MarkMemo``, which keeps
+    each distinct string constant's match for that app only."""
+
+    def test_match_keyword_runs_once_per_distinct_constant_per_app(self, monkeypatch):
+        calls = []
+        real = rules_module.match_keyword
+
+        def counting(s, keywords):
+            calls.append(s)
+            return real(s, keywords)
+
+        monkeypatch.setattr(rules_module, "match_keyword", counting)
+        values = ["/user_log", "/sdcard/a", "/user_log", "plain", "/sdcard/a"]
+        body = [StringConst(v, line) for line, v in enumerate(values, 1)]
+        for app_id in ("one", "two"):
+            result = detect_app(app_of(app_id, [body, body[::-1], body[:2]]), DetectorConfig())
+            assert result.findings == []  # no write sink
+        assert Counter(calls) == {"/user_log": 2, "/sdcard/a": 2, "plain": 2}
+
+    def test_two_apps_share_no_memo(self, monkeypatch):
+        memos = []  # holds every memo, so no two can share an id
+
+        def recording(m, rules, memo=None):
+            memos.append(memo)
+            return mark_function(m, rules, memo)
+
+        monkeypatch.setattr(detector_module, "mark_function", recording)
+        body = [StringConst("/user_log", 1)]
+        detect_app(app_of("one", [body, body]), DetectorConfig())
+        detect_app(app_of("two", [body]), DetectorConfig())
+        first, again, second = memos
+        assert isinstance(first, MarkMemo) and first is again and second is not first
+        assert list(second.strings) == ["/user_log"]
+
+    @given(st.lists(st.lists(instructions, max_size=8), max_size=6))
+    def test_marks_equal_with_and_without_memo(self, bodies):
+        rules = default_ruleset()
+        memo = MarkMemo(rules)
+        methods = app_of("a", bodies).classes[0].methods
+        assert [mark_function(m, rules, memo) for m in methods] == [mark_function(m, rules) for m in methods]
 
 
 class TestLoadRuleset:

@@ -4,6 +4,7 @@ import os
 import re
 import string
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -22,10 +23,9 @@ from storescan.smali_ir import (
     StringConst,
     parse_app_dir,
     parse_class,
-    render_class,
 )
 
-from appgen import class_text, fixture_classes, method_text
+from appgen import class_text, fixture_classes, method_text, render_class
 from oracle import invoke_oracle
 
 
@@ -517,6 +517,72 @@ class TestParseAppDir:
         app, diags = parse_app_dir(tmp_path, "loop")
         assert [c.source_file for c in app.classes] == ["smali/A.smali"]
         assert diags == []
+
+    @pytest.mark.parametrize("as_root", [Path, str, lambda p: f"{p}/"], ids=["path", "str", "trailing-slash"])
+    def test_walk_lists_exactly_these_entries(self, tmp_path, as_root):
+        # The expected listing is spelled out, not taken from rglob, whose handling
+        # of symlinks and errors differs between Python versions.
+        app, outside = tmp_path / "app", tmp_path / "outside"
+        for rel, descriptor in [("A.smali", "Lx/A;"), (".hidden/B.smali", "Lx/B;"), ("x/y/z/C.smali", "Lx/C;"),
+                                ("dir.smali/D.smali", "Lx/D;"), ("x/y/notes.txt", None)]:
+            (app / rel).parent.mkdir(parents=True, exist_ok=True)
+            (app / rel).write_text(class_text(descriptor) if descriptor else "", encoding="utf-8")
+        outside.mkdir()
+        (outside / "E.txt").write_text(class_text("Lx/E;"), encoding="utf-8")
+        (outside / "F.smali").write_text(class_text("Lx/F;"), encoding="utf-8")
+        (app / "link.smali").symlink_to(outside / "E.txt")
+        (app / "broken.smali").symlink_to(tmp_path / "nowhere")
+        (app / "linkdir").symlink_to(outside, target_is_directory=True)  # not descended
+        model, diags = parse_app_dir(as_root(app), "app")
+        assert [(c.source_file, c.descriptor) for c in model.classes] == [
+            (".hidden/B.smali", "Lx/B;"),
+            ("A.smali", "Lx/A;"),
+            ("dir.smali/D.smali", "Lx/D;"),
+            ("link.smali", "Lx/E;"),
+            ("x/y/z/C.smali", "Lx/C;"),
+        ]
+        assert diags == [
+            "broken.smali: unreadable: [Errno 2] No such file or directory",
+            "dir.smali: unreadable: [Errno 21] Is a directory",
+        ]
+
+    @pytest.mark.parametrize("as_root", [Path, str, lambda p: f"{p}/"], ids=["path", "str", "trailing-slash"])
+    def test_unreadable_subdirectory_becomes_diagnostic(self, tmp_path, monkeypatch, as_root):
+        # Root cannot be denied read access, so listing fails by patch. A recursive
+        # glob would drop the subdirectory's classes without a word.
+        for rel, descriptor in [("A.smali", "Lx/A;"), ("a/locked/B.smali", "Lx/B;"),
+                                ("a/open/C.smali", "Lx/C;"), ("z/locked/D.smali", "Lx/D;")]:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(class_text(descriptor), encoding="utf-8")
+        (tmp_path / "z" / "E.smali").write_bytes(b".class Lx/E;\n.method f()V\n")
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if os.path.basename(path) == "locked":
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        app, diags = parse_app_dir(as_root(tmp_path), "locked")
+        assert [c.source_file for c in app.classes] == ["A.smali", "a/open/C.smali"]
+        assert diags == [
+            "a/locked: unreadable: [Errno 13] Permission denied",
+            "z/locked: unreadable: [Errno 13] Permission denied",
+            "z/E.smali: line 2: .method f()V has no matching .end method",
+        ]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root can list a directory whatever its mode")
+    def test_unreadable_subdirectory_for_real(self, tmp_path):
+        (tmp_path / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "B.smali").write_text(class_text("Lx/B;"), encoding="utf-8")
+        (tmp_path / "sub").chmod(0)
+        try:
+            app, diags = parse_app_dir(tmp_path, "locked")
+        finally:
+            (tmp_path / "sub").chmod(0o755)
+        assert [c.source_file for c in app.classes] == ["A.smali"]
+        assert diags == ["sub: unreadable: [Errno 13] Permission denied"]
 
     def test_megabyte_const_string_kept_intact(self, tmp_path):
         value = "/sdcard/" + "x" * (1 << 20)

@@ -14,4 +14,4 @@ def test_patched_names_missing_from_the_program():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = {attr for module, attr, *_ in tracing.PATCHES if not hasattr(module, attr)}
-    assert missing == {"accumulate", "distances_within"}
+    assert missing == {"accumulate", "distances_within", "report_to_dict"}
