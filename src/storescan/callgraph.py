@@ -6,7 +6,7 @@ sort as the methods do and the detector's kernels can run on int lists.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 from .smali_ir import AppModel, Invoke, MethodRef
 
@@ -14,7 +14,7 @@ from .smali_ir import AppModel, Invoke, MethodRef
 class CallGraph:
     """``nodes`` is the app's methods in sorted order and ``ids`` maps each to its
     index there. ``callees[i]`` lists the ids method ``i`` calls, sorted and without
-    duplicates. ``edges`` shows the same graph keyed by ``MethodRef``."""
+    duplicates. ``edges`` builds the same graph keyed by ``MethodRef``."""
 
     __slots__ = ("nodes", "ids", "callees")
 
@@ -29,26 +29,10 @@ class CallGraph:
             callees.append(sorted(called))
 
     @property
-    def edges(self) -> Mapping[MethodRef, list[MethodRef]]:
-        """caller -> callees, read-only, derived from ``nodes`` and ``callees``."""
-        return _EdgeView(self)
-
-
-class _EdgeView(Mapping):
-    __slots__ = ("_g",)
-
-    def __init__(self, g: CallGraph):
-        self._g = g
-
-    def __getitem__(self, caller: MethodRef) -> list[MethodRef]:
-        g = self._g
-        return [g.nodes[c] for c in g.callees[g.ids[caller]]]
-
-    def __iter__(self) -> Iterator[MethodRef]:
-        return iter(self._g.nodes)
-
-    def __len__(self) -> int:
-        return len(self._g.nodes)
+    def edges(self) -> dict[MethodRef, list[MethodRef]]:
+        """caller -> callees, a fresh dict built from ``nodes`` and ``callees`` on each read."""
+        nodes = self.nodes
+        return {n: [nodes[c] for c in callees] for n, callees in zip(nodes, self.callees)}
 
 
 def build_callgraph(app: AppModel) -> CallGraph:

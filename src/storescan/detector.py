@@ -18,7 +18,7 @@ and the rings, each sorted, give the evidence in (distance, method) order. The
 parent pointers are one list per app, and each search resets only the entries
 it set, so a search costs what it reaches, not the size of the app. An
 evidence row depends only on its method and distance, so each is built once
-per app and shared by every finding that reports it; the memo lives for one
+per app and shared by every finding that reports it; the rows live for one
 ``detect_app`` call, so memory stays bounded by the largest app.
 """
 
@@ -134,9 +134,11 @@ def detect_app(
     order, so identical inputs always serialize identically. ``graph`` is the
     app's call graph when the caller has already built it.
     """
-    g = build_callgraph(app) if graph is None else graph
     memo = MarkMemo(config.rules)
-    marks = {m.key: mark_function(m, config.rules, memo) for cls in app.classes for m in cls.methods}
+    marks = {m.key: mark_function(m, memo) for cls in app.classes for m in cls.methods}
+    if not all(map(any, zip(*marks.values()))):
+        return DetectionResult(app.app_id, [])  # a category no method hits: no seed can cover it
+    g = build_callgraph(app) if graph is None else graph
     seeds = _covering_seeds(g, marks, config.depth)
     if not seeds:
         return DetectionResult(app.app_id, [])
@@ -167,12 +169,12 @@ def detect_app(
                     break  # the BFS is exhausted; depth may far exceed the graph's
                 reached += nxt
                 ring = nxt
-            memo = rows[d]
+            built = rows[d]
             for node in sorted(filter(marked.__getitem__, ring)):
-                ev = memo.get(node)
+                ev = built.get(node)
                 if ev is None:
                     ref = nodes[node]
-                    ev = memo[node] = ConditionSet._make(
+                    ev = built[node] = ConditionSet._make(
                         [Evidence(ref, h, d) for h in hits] for hits in marked[node]
                     )
                 found.append(ev)

@@ -201,16 +201,17 @@ def _text_row(category: str, e: Evidence) -> str:
 
 
 def _text_report(report: CorpusReport) -> str:
-    text_row = functools.cache(_text_row)  # seeds share rows: render each distinct one once
-    lines = [f"scanned={report.totals.apps_scanned} flagged={report.totals.apps_flagged}\n"]
+    rendered = [{} for _ in ConditionSet._fields]  # per category, id(row) -> text: see _put_app
+    scanned, flagged, _ = report.totals
+    lines = [f"scanned={scanned} flagged={flagged}\n"]
     for r in report.apps:
         if not r.flagged:
             continue
         lines.append(f"app {_escape_string(r.app_id)}: {len(r.findings)} finding(s)\n")
         for f in r.findings:
             lines.append(f"  seed {f.seed}\n")
-            for category, evidence in f.conditions._asdict().items():
-                lines += (text_row(category, e) for e in evidence)
+            for category, evidence, seen in zip(ConditionSet._fields, f.conditions, rendered):
+                lines += [seen.get(id(e)) or seen.setdefault(id(e), _text_row(category, e)) for e in evidence]
             for category, chain in f.witness_chains.items():
                 lines.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
     return "".join(lines)

@@ -143,12 +143,13 @@ def match_keyword(s: str, keywords: list[str]) -> list[str]:
 
 
 class MarkMemo:
-    """``mark_function``'s lookups for one app: the rule sets, built once, and the
-    match of each distinct string constant seen so far. ``detect_app`` makes one
-    per app, so its size is bounded by the largest app. Invoke targets are not
-    kept: most are distinct, and two set lookups by name cost less than keeping them."""
+    """``mark_function``'s rules for one app, as lookups built once, and the match
+    of each distinct string constant seen so far. ``detect_app`` makes one per
+    app, so its size is bounded by the largest app. Invoke targets are not kept:
+    most are distinct, and two set lookups by name cost less than keeping them."""
 
     def __init__(self, rules: RuleSet):
+        self.keywords = rules.keywords
         self.path_apis = frozenset(rules.path_apis)
         self.sinks = frozenset(rules.write_sinks)
         self.sink_names = frozenset(name for _, name in rules.write_sinks)
@@ -157,14 +158,13 @@ class MarkMemo:
         self.strings: dict[str, tuple[list[str], bool]] = {}  # value -> (keywords, hardcoded path?)
 
 
-def mark_function(m: MethodDef, rules: RuleSet, memo: MarkMemo | None = None) -> MarkSet:
-    """Compute the method's rule hits, each with its source line.
+def mark_function(m: MethodDef, memo: MarkMemo) -> MarkSet:
+    """Compute the method's rule hits under ``memo``'s rules, each with its source line.
 
     Path APIs are matched by method name on any declaring class; hardcoded
-    paths and keywords are matched on string constants only. ``memo``, made
-    from the same ``rules``, carries lookups from one method of an app to the next.
+    paths and keywords are matched on string constants only. One ``memo`` per
+    app carries lookups from one method of the app to the next.
     """
-    memo = memo or MarkMemo(rules)
     strings = memo.strings
     hits = MarkSet([], [], [])
     for ins in m.body:
@@ -178,7 +178,7 @@ def mark_function(m: MethodDef, rules: RuleSet, memo: MarkMemo | None = None) ->
             value = ins.value
             match = strings.get(value)
             if match is None:
-                match = strings[value] = (match_keyword(value, rules.keywords),
+                match = strings[value] = (match_keyword(value, memo.keywords),
                                           (value + "/").startswith(memo.path_prefixes))
             for kw in match[0]:
                 hits.keyword_hits.append(KeywordHit(value, kw, ins.source_line))

@@ -6,6 +6,8 @@ search over ``distances_within``: ``detect_app`` must report, for every seed
 it flags, exactly the evidence ``accumulate`` finds. ``report_to_dict`` is the
 JSON report as data: ``emit_report(r, "json")`` must equal
 ``json.dumps(report_to_dict(r), indent=2, ensure_ascii=False) + "\n"``.
+``text_report_oracle`` renders the text report row by row, with no cache:
+``emit_report(r, "text")`` must equal it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from storescan.callgraph import CallGraph
 from storescan.detector import ConditionSet, Evidence
 from storescan.report import SCHEMA_VERSION, CorpusReport
 from storescan.rules import KeywordHit, MarkSet, PathSourceHit, ruleset_digest
-from storescan.smali_ir import MethodRef
+from storescan.smali_ir import MethodRef, _escape_string
 
 
 # The invoke grammar as two regexes: a lazy owner group, then a descriptor check.
@@ -42,7 +44,8 @@ class UnknownNodeError(Exception):
 
 def distances_within(g: CallGraph, seed: MethodRef, k: int) -> dict[MethodRef, int]:
     """Shortest call distance from ``seed`` for every node within ``k`` edges."""
-    if seed not in g.edges:
+    edges = g.edges  # a fresh dict on each read
+    if seed not in edges:
         raise UnknownNodeError(f"unknown method {MethodRef(*seed)}")
     if k < 0:
         raise ValueError("hop bound must be >= 0")
@@ -51,7 +54,7 @@ def distances_within(g: CallGraph, seed: MethodRef, k: int) -> dict[MethodRef, i
     for hop in range(1, k + 1):
         nxt = []
         for node in frontier:
-            for callee in g.edges[node]:
+            for callee in edges[node]:
                 if callee not in dist:
                     dist[callee] = hop
                     nxt.append(callee)
@@ -192,3 +195,28 @@ def report_to_dict(report: CorpusReport) -> dict:
             for r in report.apps
         ],
     }
+
+
+def text_report_oracle(report: CorpusReport) -> str:
+    """The text report: a summary line, then each flagged app's findings, every
+    evidence row rendered where it is listed."""
+    totals = report.totals
+    out = [f"scanned={totals.apps_scanned} flagged={totals.apps_flagged}\n"]
+    for r in report.apps:
+        if not r.flagged:
+            continue
+        out.append(f"app {_escape_string(r.app_id)}: {len(r.findings)} finding(s)\n")
+        for f in r.findings:
+            out.append(f"  seed {f.seed}\n")
+            for category, evidence in f.conditions._asdict().items():
+                for e in evidence:
+                    if isinstance(e.hit, KeywordHit):
+                        hit = f'"{_escape_string(e.hit.value)}" (keyword {e.hit.keyword})'
+                    elif isinstance(e.hit, PathSourceHit):
+                        hit = _escape_string(e.hit.evidence)
+                    else:
+                        hit = str(e.hit.target)
+                    out.append(f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n")
+            for category, chain in f.witness_chains.items():
+                out.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
+    return "".join(out)

@@ -13,7 +13,7 @@ import jsonschema
 from storescan.callgraph import build_callgraph
 from storescan.detector import DetectorConfig, detect_app
 from storescan.report import scan_corpus
-from storescan.rules import default_ruleset, mark_function, match_keyword
+from storescan.rules import MarkMemo, default_ruleset, mark_function, match_keyword
 from storescan.smali_ir import parse_class
 
 from appgen import fixture_classes, planted_corpus, random_instance, render_class, write_corpus
@@ -122,7 +122,7 @@ def test_parser_roundtrip_and_seed_isolation():
         inst = random_instance(rng)
         g = build_callgraph(inst.app)
         rules = default_ruleset()
-        marks = {m.key: mark_function(m, rules) for c in inst.app.classes for m in c.methods}
+        marks = {m.key: mark_function(m, MarkMemo(rules)) for c in inst.app.classes for m in c.methods}
         seeds = sorted(g.nodes)
         baseline = {s for s in seeds if all(accumulate(s, g, marks, 3))}
         for _ in range(4):

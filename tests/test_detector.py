@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from storescan import detector
 from storescan.callgraph import CallGraph, build_callgraph
-from storescan.detector import ConditionSet, DetectorConfig, Evidence, _covering_seeds, detect_app
+from storescan.detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, _covering_seeds, detect_app
 from storescan.report import CorpusReport, emit_report, load_report_schema
 from storescan.rules import (
     KeywordHit,
+    MarkMemo,
     MarkSet,
     PathSourceHit,
     WriteSinkHit,
@@ -57,7 +58,7 @@ def key(name: str):
 
 def marks_for(app: AppModel):
     rules = default_ruleset()
-    return {m.key: mark_function(m, rules) for cls in app.classes for m in cls.methods}
+    return {m.key: mark_function(m, MarkMemo(rules)) for cls in app.classes for m in cls.methods}
 
 
 CHAIN_APP = make_app(
@@ -227,7 +228,7 @@ class TestCoveringSeeds:
                     inst.adjacency, category_nodes, node, g, marks, depth
                 )
                 satisfied += len(got)
-                unsatisfied += len(g.edges) - len(got)
+                unsatisfied += len(g.nodes) - len(got)
         assert satisfied > 500 and unsatisfied > 500
 
     @given(adjacency_and_marks(), st.integers(1, 50))
@@ -280,7 +281,7 @@ class TestEvidenceKernel:
     def assert_matches_references(app: AppModel, depth: int) -> list:
         g = build_callgraph(app)
         marks = marks_for(app)
-        adjacency = {n: g.edges[n] for n in g.edges}
+        adjacency = g.edges
         marked = {c: {n for n in marks if marks[n][i]} for i, c in enumerate(ConditionSet._fields)}
         findings = detect_app(app, DetectorConfig(depth=depth)).findings
         seeds = _covering_seeds(g, marks, depth)
@@ -462,6 +463,16 @@ class TestDetectApp:
         )
         assert detect_app(app, DetectorConfig(depth=3)).flagged is False
 
+    def test_app_missing_a_category_builds_no_call_graph(self, monkeypatch):
+        # No seed can cover a category that no method of the app hits.
+        built = []
+        real = detector.build_callgraph
+        monkeypatch.setattr(detector, "build_callgraph", lambda app: built.append(app.app_id) or real(app))
+        two = make_app({"a": ([StringConst("/user_log"), PATH_API], ["b"]), "b": ([StringConst("/sdcard/x")], [])})
+        assert detect_app(two, DetectorConfig(depth=50)) == DetectionResult("app", [])
+        assert built == []
+        assert detect_app(CHAIN_APP, DetectorConfig(depth=3)).flagged and built == ["app"]
+
     def test_flagged_iff_findings(self):
         for app in (CHAIN_APP, AppModel("none", [])):
             result = detect_app(app, DetectorConfig(depth=3))
@@ -473,13 +484,13 @@ class TestDetectApp:
         for _ in range(50):
             inst = random_instance(rng)
             result = detect_app(inst.app, DetectorConfig(depth=3, rules=rules))
-            g = build_callgraph(inst.app)
-            marks = {m.key: mark_function(m, rules) for c in inst.app.classes for m in c.methods}
+            edges = build_callgraph(inst.app).edges
+            marks = {m.key: mark_function(m, MarkMemo(rules)) for c in inst.app.classes for m in c.methods}
             for finding in result.findings:
                 for category, chain in finding.witness_chains.items():
                     assert chain[0] == finding.seed
                     for a, b in zip(chain, chain[1:]):
-                        assert b in g.edges[a]
+                        assert b in edges[a]
                     tail = marks[chain[-1]]
                     hits = {
                         "keyword": tail.keyword_hits,
@@ -519,7 +530,7 @@ class TestDetectApp:
             inst = random_instance(rng)
             g = build_callgraph(inst.app)
             rules = default_ruleset()
-            marks = {m.key: mark_function(m, rules) for c in inst.app.classes for m in c.methods}
+            marks = {m.key: mark_function(m, MarkMemo(rules)) for c in inst.app.classes for m in c.methods}
             seeds = sorted(g.nodes)
             baseline = {s for s in seeds if all(accumulate(s, g, marks, 3))}
             for _ in range(3):

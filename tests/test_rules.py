@@ -154,7 +154,7 @@ class TestMarkFunction:
         m = method_with([
             Invoke("static", MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"), 5)
         ])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert [h.evidence for h in marks.path_source_hits] == ["getExternalStorageDirectory"]
         assert marks.path_source_hits[0].line == 5
         assert marks.keyword_hits == [] and marks.write_sink_hits == []
@@ -163,12 +163,12 @@ class TestMarkFunction:
         m = method_with([
             Invoke("virtual", MethodRef("Lcom/app/MyActivity;", "getExternalFilesDir", "(Ljava/lang/String;)Ljava/io/File;"), 2)
         ])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert len(marks.path_source_hits) == 1
 
     def test_hardcoded_path_string(self):
         m = method_with([StringConst("/sdcard/foo", 3)])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert [h.evidence for h in marks.path_source_hits] == ["/sdcard/foo"]
 
     @pytest.mark.parametrize(
@@ -186,11 +186,11 @@ class TestMarkFunction:
     )
     def test_prefix_boundary(self, value, hits):
         m = method_with([StringConst(value, 1)])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert bool(marks.path_source_hits) == hits
 
     def test_empty_method(self):
-        marks = mark_function(method_with([]), default_ruleset())
+        marks = mark_function(method_with([]), MarkMemo(default_ruleset()))
         assert marks.keyword_hits == []
         assert marks.path_source_hits == []
         assert marks.write_sink_hits == []
@@ -200,7 +200,7 @@ class TestMarkFunction:
             Invoke("virtual", MethodRef("Ljava/io/File;", "mkdir", "()Z"), 4),
             StringConst("/Yixin/log/", 6),
         ])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert len(marks.write_sink_hits) == 1
         assert marks.keyword_hits == [("/Yixin/log/", "log", 6)]
 
@@ -208,31 +208,31 @@ class TestMarkFunction:
         m = method_with([
             Invoke("direct", MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V"), 9)
         ])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert marks.write_sink_hits[0].line == 9
 
     def test_other_init_is_not_sink(self):
         m = method_with([
             Invoke("direct", MethodRef("Ljava/lang/StringBuilder;", "<init>", "()V"), 1)
         ])
-        assert mark_function(m, default_ruleset()).write_sink_hits == []
+        assert mark_function(m, MarkMemo(default_ruleset())).write_sink_hits == []
 
     def test_multiple_keywords_in_one_string(self):
         m = method_with([StringConst("/cache/user_log", 2)])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert [(h.keyword) for h in marks.keyword_hits] == ["log", "cache"]
 
     def test_malformed_unicode_escape_is_no_keyword(self):
         # "\u+06c" is not an escape, so the string holds no "log" token.
         line = '    const-string v0, "/sdcard/\\u+06cog"'
         (m,) = parse_class(class_text("La/B;", methods=[method_text("f", body=[line])])).methods
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert marks.keyword_hits == []
         assert [h.evidence for h in marks.path_source_hits] == ["/sdcard/\\u+06cog"]
 
     def test_opaque_lines_never_match(self):
         m = method_with(['    const-string v0 "/user_log"'])  # malformed, stays uninterpreted
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         assert marks.keyword_hits == []
 
     def test_evidence_lines_point_at_matching_instruction(self):
@@ -240,7 +240,7 @@ class TestMarkFunction:
             StringConst("/sdcard/user_log", 11),
             Invoke("virtual", MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 12),
         ])
-        marks = mark_function(m, default_ruleset())
+        marks = mark_function(m, MarkMemo(default_ruleset()))
         by_line = {ins.source_line: ins for ins in m.body}
         for h in marks.keyword_hits:
             assert by_line[h.line].value == h.value
@@ -289,9 +289,9 @@ class TestMarkMemo:
     def test_two_apps_share_no_memo(self, monkeypatch):
         memos = []  # holds every memo, so no two can share an id
 
-        def recording(m, rules, memo=None):
+        def recording(m, memo):
             memos.append(memo)
-            return mark_function(m, rules, memo)
+            return mark_function(m, memo)
 
         monkeypatch.setattr(detector_module, "mark_function", recording)
         body = [StringConst("/user_log", 1)]
@@ -302,11 +302,11 @@ class TestMarkMemo:
         assert list(second.strings) == ["/user_log"]
 
     @given(st.lists(st.lists(instructions, max_size=8), max_size=6))
-    def test_marks_equal_with_and_without_memo(self, bodies):
+    def test_one_memo_per_app_equals_a_fresh_memo_per_method(self, bodies):
         rules = default_ruleset()
         memo = MarkMemo(rules)
         methods = app_of("a", bodies).classes[0].methods
-        assert [mark_function(m, rules, memo) for m in methods] == [mark_function(m, rules) for m in methods]
+        assert [mark_function(m, memo) for m in methods] == [mark_function(m, MarkMemo(rules)) for m in methods]
 
 
 class TestLoadRuleset:
