@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,9 @@ def scan(corpus_root, depth, rules_file, fmt, output, fail_on_detect, dump_callg
     # sys.stderr writes a lone surrogate as \uXXXX; click's stderr wrapper raises.
     graph_sink = sys.stderr if dump_callgraph else None
     try:
-        report = scan_corpus(corpus_root, config, graph_sink=graph_sink)
+        # One worker per CPU this process may run on: under `taskset -c 0` it scans alone.
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        report = scan_corpus(corpus_root, config, graph_sink=graph_sink, workers=len(cpus))
         # A lone surrogate (an unpaired dex string escape, or an app directory name
         # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
         rendered = emit_report(report, fmt).encode("utf-8", "backslashreplace")

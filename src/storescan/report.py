@@ -12,11 +12,12 @@ import functools
 import gc
 import json
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import NamedTuple, NoReturn, TextIO
 
 from .callgraph import build_callgraph, edge_list_text
 from .detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, detect_app
@@ -69,11 +70,48 @@ def _collector_paused(fn):
     return paused
 
 
+def _scan_app(app_id: str, app_dir: str, config: DetectorConfig, dump: bool) -> tuple[DetectionResult, str | None]:
+    """One app's result, and its call graph as edge-list text when ``dump``."""
+    try:
+        app, diagnostics = parse_app_dir(app_dir, app_id)
+    except (DuplicateClassError, OSError) as exc:
+        # A str, since an exception kept in a local would cycle through this frame.
+        reason = unreadable_reason(exc) if isinstance(exc, OSError) else str(exc)
+        return DetectionResult(app_id, [], [f"app not scanned: {reason}"]), None
+    graph = build_callgraph(app) if dump else None
+    result = detect_app(app, config, graph=graph)
+    result.diagnostics = diagnostics
+    return result, (f"# callgraph {app_id}\n" + edge_list_text(graph) if dump else None)
+
+
+def _worker(apps: list[tuple[str, str]], config: DetectorConfig, dump: bool, fds: list[int]) -> NoReturn:
+    """A forked child's whole life: close the parent's pipe ends in ``fds``, pickle the
+    results for ``apps`` into the last one, and exit, with 1 after a traceback."""
+    code = 1
+    try:
+        import pickle
+
+        for fd in fds[:-1]:
+            os.close(fd)
+        with open(fds[-1], "wb") as pipe:
+            pickle.dump([_scan_app(*a, config, dump) for a in apps], pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)  # never back into the caller's stack
+
+
 @_collector_paused
 def scan_corpus(
     root: str | Path,
     config: DetectorConfig,
     graph_sink: TextIO | None = None,
+    *,
+    workers: int = 1,
 ) -> CorpusReport:
     """Scan a corpus directory: one immediate subdirectory per app.
 
@@ -82,26 +120,51 @@ def scan_corpus(
     ``graph_sink`` is given, each app's call graph is written to it as a
     deterministic edge list. Raises the OS's own OSError when ``root`` cannot
     be listed.
+
+    With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
+    into ``min(workers, apps)`` shares: this process scans share 0, and one forked
+    worker each of the others, whose results come back pickled through a pipe. The
+    report and the graph text, which only this process writes, are the same bytes
+    for any ``workers``. A failed worker raises RuntimeError naming its exit status;
+    however the call ends, no worker is left running or unreaped. A caller that
+    runs threads keeps ``workers`` at 1: a forked child has only the calling thread.
     """
     with os.scandir(root) as entries:
         app_dirs = sorted((e.name, e.path) for e in entries if e.is_dir())
-    results: list[DetectionResult] = []
-    for app_id, app_dir in app_dirs:
-        try:
-            app, diagnostics = parse_app_dir(app_dir, app_id)
-        except (DuplicateClassError, OSError) as exc:
-            # A str, since an exception kept in a local would cycle through this frame.
-            reason = unreadable_reason(exc) if isinstance(exc, OSError) else str(exc)
-            results.append(DetectionResult(app_id, [], [f"app not scanned: {reason}"]))
-            continue
-        graph = None
-        if graph_sink is not None:
-            graph = build_callgraph(app)
-            graph_sink.write(f"# callgraph {app_id}\n" + edge_list_text(graph))
-        result = detect_app(app, config, graph=graph)
-        result.diagnostics = diagnostics
-        results.append(result)
-    return CorpusReport(config, results)
+    jobs = max(1, min(workers, len(app_dirs))) if hasattr(os, "fork") else 1
+    dump = graph_sink is not None
+    scanned: list = [None] * len(app_dirs)
+    pids: list[int] = []  # children not yet reaped, in share order
+    fds: list[int] = []  # pipe ends this process holds open
+    try:
+        if jobs > 1:
+            import pickle
+            import signal
+        for k in range(1, jobs):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(app_dirs[k::jobs], config, dump, fds)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end
+        scanned[0::jobs] = [_scan_app(*a, config, dump) for a in app_dirs[0::jobs]]
+        for k in range(1, jobs):
+            with open(fds.pop(0), "rb") as pipe:
+                data = pipe.read()  # to EOF, which comes when the worker exits
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status:
+                raise RuntimeError(f"scan worker {k} failed: exit status {os.waitstatus_to_exitcode(status)}")
+            scanned[k::jobs] = pickle.loads(data)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    if dump:
+        graph_sink.writelines(text for _, text in scanned if text)
+    return CorpusReport(config, [result for result, _ in scanned])
 
 
 # The JSON writer fills literal-indent templates, byte for byte as json.dumps(tree, indent=2,

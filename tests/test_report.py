@@ -5,10 +5,15 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storescan import detector as detector_module
@@ -19,8 +24,17 @@ from storescan.report import CorpusReport, emit_report, scan_corpus
 from storescan.rules import KeywordHit, PathSourceHit, WriteSinkHit, default_ruleset, ruleset_digest
 from storescan.smali_ir import MethodRef, parse_app_dir
 
-from appgen import class_text, const_string_line, invoke_line, method_text, random_instance, render_class
-from conftest import CLEAN_CLASS, VULN_CLASS, load_report_schema
+from appgen import (
+    class_text,
+    const_string_line,
+    invoke_line,
+    method_text,
+    planted_corpus,
+    random_instance,
+    render_class,
+    write_corpus,
+)
+from conftest import CLEAN_CLASS, VULN_CLASS, cli_env, load_report_schema
 from oracle import report_to_dict, text_report_oracle
 
 
@@ -330,9 +344,9 @@ class TestScanCorpus:
         assert sink.getvalue() == GOLDEN_CALLGRAPH
 
 
-def _scan_and_emit(root, depth=3):
+def _scan_and_emit(root, depth=3, **kwargs):
     # Every locally built object, the report included, is dropped on return.
-    report = scan(root, depth, graph_sink=io.StringIO())
+    report = scan(root, depth, graph_sink=io.StringIO(), **kwargs)
     for fmt in ("json", "text"):
         emit_report(report, fmt)
 
@@ -386,6 +400,13 @@ class TestNoCycles:
         assert rows["app_multidex"].diagnostics[0].startswith("app not scanned: class Lfx/Vuln;")
         assert unreachable_after(lambda: _scan_and_emit(every_path_corpus)) == 0
 
+    def test_parallel_scan_leaves_no_cyclic_garbage(self, every_path_corpus):
+        # This process unpickles the other shares' results; that may build no cycle either.
+        # The first parallel scan imports pickle and signal, whose imports leave cyclic
+        # garbage of their own, once per process; so that one is not counted.
+        scan(every_path_corpus, workers=2)
+        assert unreachable_after(lambda: _scan_and_emit(every_path_corpus, workers=2)) == 0
+
     def test_dense_apps_leave_no_cyclic_garbage(self, tmp_path):
         rng = random.Random(89)
         for i in range(6):
@@ -435,9 +456,9 @@ class TestCollectorState:
             (gc.enable if was_enabled else gc.disable)()
         assert during and not any(during)
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
-    def test_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
+    def assert_scan_paused_and_restored(self, root, monkeypatch, enabled, fails, workers):
+        # This process scans share 0 (with 2 workers, app_bad and app_ok1), and
+        # raises on its second app.
         during = []
 
         def parse(app_dir, app_id):
@@ -447,7 +468,19 @@ class TestCollectorState:
             return parse_app_dir(app_dir, app_id)
 
         monkeypatch.setattr(report_module, "parse_app_dir", parse)
-        self.assert_paused_and_restored(lambda: scan(chain_corpus), during, enabled, fails)
+        self.assert_paused_and_restored(lambda: scan(root, workers=workers), during, enabled, fails)
+        return during
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
+    def test_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
+        self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, workers=1)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
+    def test_parallel_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
+        during = self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, workers=2)
+        assert len(during) == 2  # the worker parsed the other two apps
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
@@ -465,6 +498,90 @@ class TestCollectorState:
 
         monkeypatch.setattr(report_module, row.__name__, recording_row)
         self.assert_paused_and_restored(lambda: emit_report(report, fmt), during, enabled, fails)
+
+
+def _outputs(root, workers: int) -> tuple[str, str, str]:
+    """The JSON and text reports and the call-graph dump of one scan."""
+    sink = io.StringIO()
+    report = scan(root, graph_sink=sink, workers=workers)
+    return emit_report(report, "json"), emit_report(report, "text"), sink.getvalue()
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """``scan_corpus(..., workers=w)`` forks ``w - 1`` workers; whatever ``w``, the
+    reports and the call-graph dump are the bytes one process writes."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_every_path_corpus_same_bytes(self, every_path_corpus, workers):
+        expected = _outputs(every_path_corpus, 1)
+        assert expected[0].count('"app_id"') == 6 and expected[2].count("# callgraph") == 5
+        assert _outputs(every_path_corpus, workers) == expected
+        assert_no_child_left()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 19), max_size=9, unique=True))
+    def test_planted_corpora_same_bytes(self, picks):
+        # planted_corpus(10, 10) lists 10 vulnerable apps, then 10 clean ones.
+        apps = planted_corpus(10, 10)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_corpus(root, [apps[i] for i in picks])
+            expected = _outputs(root, 1)
+            for workers in (2, 3, 7):
+                assert _outputs(root, workers) == expected
+        assert_no_child_left()
+
+    def test_failed_worker_raises_with_its_exit_status(self, chain_corpus, monkeypatch, capfd):
+        # Two shares: this process scans app_bad and app_ok1, the worker app_chain and app_ok2.
+        def detect(app, config, graph=None):
+            if app.app_id == "app_chain":
+                raise ValueError("planted fault in app_chain")
+            return detect_app(app, config, graph=graph)
+
+        monkeypatch.setattr(report_module, "detect_app", detect)
+        pid = os.getpid()
+        with pytest.raises(RuntimeError, match="scan worker 1 failed: exit status 1"):
+            scan(chain_corpus, workers=2)
+        assert os.getpid() == pid
+        assert_no_child_left()
+        assert "ValueError: planted fault in app_chain" in capfd.readouterr().err
+
+    def test_interrupted_scan_kills_its_workers(self, chain_corpus, monkeypatch):
+        # The worker hangs in its first app; this process is interrupted in its first.
+        pid = os.getpid()
+
+        def parse(app_dir, app_id):
+            if os.getpid() == pid:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(report_module, "parse_app_dir", parse)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            scan(chain_corpus, workers=2)
+        assert_no_child_left()
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_cli_on_one_cpu_writes_the_same_bytes(self, every_path_corpus, fmt):
+        # The CLI takes its worker count from the CPU affinity mask; pinned to CPU 0 it scans in one process.
+        def run(preexec_fn):
+            return subprocess.run(
+                [sys.executable, "-m", "storescan", "scan", str(every_path_corpus), "--format", fmt,
+                 "--dump-callgraph"],
+                capture_output=True, env=cli_env(), preexec_fn=preexec_fn, check=True,
+            )
+
+        one_cpu = run(lambda: os.sched_setaffinity(0, {0}))
+        unrestricted = run(None)
+        assert (one_cpu.stdout, one_cpu.stderr) == (unrestricted.stdout, unrestricted.stderr)
+        assert one_cpu.stderr.count(b"# callgraph") == 5
 
 
 class TestEmitReport:
