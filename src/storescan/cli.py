@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from .detector import DetectorConfig
-from .report import emit_report, scan_corpus
+from .report import scan_report
 from .rules import RuleFormatError, default_ruleset, load_ruleset
 
 
@@ -95,19 +95,26 @@ def scan(corpus_root, depth, rules_file, fmt, output, fail_on_detect, dump_callg
     try:
         # One worker per CPU this process may run on: under `taskset -c 0` it scans alone.
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-        report = scan_corpus(corpus_root, config, graph_sink=graph_sink, workers=len(cpus))
-        # A lone surrogate (an unpaired dex string escape, or an app directory name
-        # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
-        rendered = emit_report(report, fmt).encode("utf-8", "backslashreplace")
+        totals, pieces = scan_report(corpus_root, config, fmt, graph_sink, workers=len(cpus))
         if output is not None:
-            output.write_bytes(rendered)
+            with open(output, "wb") as f:
+                f.writelines(pieces)
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    if output is None:
-        click.echo(rendered, nl=False)
+    except Exception as exc:
+        # Exit 1 would read as "apps flagged" under --fail-on-detect.
+        import traceback
 
-    if fail_on_detect and report.totals.apps_flagged > 0:
+        traceback.print_exc()
+        click.echo(f"error: scan failed: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(2)
+    if output is None:
+        stdout = click.get_binary_stream("stdout")
+        stdout.writelines(pieces)
+        stdout.flush()
+
+    if fail_on_detect and totals.apps_flagged > 0:
         sys.exit(1)
 
 

@@ -1,9 +1,10 @@
 """Corpus scanning and report serialization.
 
-``scan_corpus`` and ``emit_report`` pause the cyclic garbage collector. A scan and
-its report build no reference cycles (``tests/test_report.py::TestNoCycles`` pins
-this), so reference counting frees each app as the next replaces it; the
-collector's passes would only re-walk the app model and the report.
+``scan_corpus``, ``scan_report`` and ``emit_report`` pause the cyclic garbage
+collector. A scan and its report build no reference cycles
+(``tests/test_report.py::TestNoCycles`` pins this), so reference counting frees
+each app as the next replaces it; the collector's passes would only re-walk the
+app model and the report.
 """
 
 from __future__ import annotations
@@ -84,9 +85,49 @@ def _scan_app(app_id: str, app_dir: str, config: DetectorConfig, dump: bool) -> 
     return result, (f"# callgraph {app_id}\n" + edge_list_text(graph) if dump else None)
 
 
-def _worker(apps: list[tuple[str, str]], config: DetectorConfig, dump: bool, fds: list[int]) -> NoReturn:
+def _app_dirs(root: str | Path) -> list[tuple[str, str]]:
+    with os.scandir(root) as entries:
+        return sorted((e.name, e.path) for e in entries if e.is_dir())
+
+
+@_collector_paused
+def scan_corpus(root: str | Path, config: DetectorConfig, graph_sink: TextIO | None = None) -> CorpusReport:
+    """Scan a corpus directory, one immediate subdirectory per app, in this process.
+
+    Per-app failures (unreadable directory, duplicate class declarations)
+    become that app's diagnostics and never abort the corpus. When
+    ``graph_sink`` is given, each app's call graph is written to it as a
+    deterministic edge list. Raises the OS's own OSError when ``root`` cannot
+    be listed.
+    """
+    dump = graph_sink is not None
+    scanned = [_scan_app(*a, config, dump) for a in _app_dirs(root)]
+    if dump:
+        graph_sink.writelines(text for _, text in scanned if text)
+    return CorpusReport(config, [result for result, _ in scanned])
+
+
+def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, fmt: str, dump: bool,
+                first: bool) -> list[tuple[bool, int, bytes, str | None]]:
+    """Per app of ``apps``: flagged, its diagnostic count, its part of the report,
+    rendered as soon as it is scanned, and its call graph text when ``dump``.
+    ``first`` when the share holds the corpus's first app."""
+    put = _writer(fmt)
+    frames = []
+    for app_id, app_dir in apps:
+        result, graph = _scan_app(app_id, app_dir, config, dump)
+        out: list[str] = []
+        put(out, result, first and not frames)
+        # A lone surrogate (an unpaired dex string escape, or an app directory name
+        # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
+        part = "".join(out).encode("utf-8", "backslashreplace")
+        frames.append((result.flagged, len(result.diagnostics), part, graph))
+    return frames
+
+
+def _worker(apps: list[tuple[str, str]], config: DetectorConfig, fmt: str, dump: bool, fds: list[int]) -> NoReturn:
     """A forked child's whole life: close the parent's pipe ends in ``fds``, pickle the
-    results for ``apps`` into the last one, and exit, with 1 after a traceback."""
+    frames for ``apps`` into the last one, and exit, with 1 after a traceback."""
     code = 1
     try:
         import pickle
@@ -94,7 +135,7 @@ def _worker(apps: list[tuple[str, str]], config: DetectorConfig, dump: bool, fds
         for fd in fds[:-1]:
             os.close(fd)
         with open(fds[-1], "wb") as pipe:
-            pickle.dump([_scan_app(*a, config, dump) for a in apps], pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_scan_share(apps, config, fmt, dump, False), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException:
         import traceback
@@ -106,34 +147,33 @@ def _worker(apps: list[tuple[str, str]], config: DetectorConfig, dump: bool, fds
 
 
 @_collector_paused
-def scan_corpus(
+def scan_report(
     root: str | Path,
     config: DetectorConfig,
+    fmt: str,
     graph_sink: TextIO | None = None,
     *,
     workers: int = 1,
-) -> CorpusReport:
-    """Scan a corpus directory: one immediate subdirectory per app.
-
-    Per-app failures (unreadable directory, duplicate class declarations)
-    become that app's diagnostics and never abort the corpus. When
-    ``graph_sink`` is given, each app's call graph is written to it as a
-    deterministic edge list. Raises the OS's own OSError when ``root`` cannot
-    be listed.
+) -> tuple[Totals, list[bytes]]:
+    """What ``storescan scan`` writes: the totals, and the report in format ``fmt``
+    as UTF-8 pieces (header, one part per app in app order, closing) whose
+    concatenation is ``emit_report(scan_corpus(root, config), fmt)`` encoded with
+    ``backslashreplace``. ``graph_sink`` and the errors are as for ``scan_corpus``.
 
     With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
     into ``min(workers, apps)`` shares: this process scans share 0, and one forked
-    worker each of the others, whose results come back pickled through a pipe. The
-    report and the graph text, which only this process writes, are the same bytes
-    for any ``workers``. A failed worker raises RuntimeError naming its exit status;
-    however the call ends, no worker is left running or unreaped. A caller that
-    runs threads keeps ``workers`` at 1: a forked child has only the calling thread.
+    worker each of the others, which sends its apps' rendered parts back pickled
+    through a pipe. The pieces and the graph text, which only this process writes,
+    are the same bytes for any ``workers``. A failed worker raises RuntimeError
+    naming its exit status; however the call ends, no worker is left running or
+    unreaped. A caller that runs threads keeps ``workers`` at 1: a forked child has
+    only the calling thread.
     """
-    with os.scandir(root) as entries:
-        app_dirs = sorted((e.name, e.path) for e in entries if e.is_dir())
+    _writer(fmt)  # before any work
+    app_dirs = _app_dirs(root)
     jobs = max(1, min(workers, len(app_dirs))) if hasattr(os, "fork") else 1
     dump = graph_sink is not None
-    scanned: list = [None] * len(app_dirs)
+    frames: list = [None] * len(app_dirs)
     pids: list[int] = []  # children not yet reaped, in share order
     fds: list[int] = []  # pipe ends this process holds open
     try:
@@ -144,10 +184,10 @@ def scan_corpus(
             fds += os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(app_dirs[k::jobs], config, dump, fds)
+                _worker(app_dirs[k::jobs], config, fmt, dump, fds)
             pids.append(pid)
             os.close(fds.pop())  # the write end
-        scanned[0::jobs] = [_scan_app(*a, config, dump) for a in app_dirs[0::jobs]]
+        frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, fmt, dump, True)
         for k in range(1, jobs):
             with open(fds.pop(0), "rb") as pipe:
                 data = pipe.read()  # to EOF, which comes when the worker exits
@@ -155,7 +195,7 @@ def scan_corpus(
             del pids[0]
             if status:
                 raise RuntimeError(f"scan worker {k} failed: exit status {os.waitstatus_to_exitcode(status)}")
-            scanned[k::jobs] = pickle.loads(data)
+            frames[k::jobs] = pickle.loads(data)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -163,8 +203,10 @@ def scan_corpus(
         for fd in fds:
             os.close(fd)
     if dump:
-        graph_sink.writelines(text for _, text in scanned if text)
-    return CorpusReport(config, [result for result, _ in scanned])
+        graph_sink.writelines(f[3] for f in frames if f[3])
+    totals = Totals(len(frames), sum(f[0] for f in frames), sum(f[1] for f in frames))
+    head, tail = _frame(fmt, config, totals)
+    return totals, [head.encode(), *(f[2] for f in frames), tail.encode()]
 
 
 # The JSON writer fills literal-indent templates, byte for byte as json.dumps(tree, indent=2,
@@ -221,14 +263,16 @@ def _put_dict(out: list[str], items: list[tuple[str, list[str]]], pad: str) -> N
     out.append("\n" + pad + "}")
 
 
-def _put_app(out: list[str], r: DetectionResult) -> None:
-    """Append one app's object, its braces 4 spaces in."""
-    out += ('{\n      "app_id": ', _str(r.app_id),
+def _put_json_app(out: list[str], r: DetectionResult, first: bool) -> None:
+    """Append one app's object, its braces 4 spaces in, after the list's opening
+    bracket when ``first`` and after a comma otherwise."""
+    out += ("[\n    " if first else ",\n    ", '{\n      "app_id": ', _str(r.app_id),
             ',\n      "flagged": ', "true" if r.flagged else "false", ',\n      "diagnostics": ')
     _put_list(out, list(map(_str, r.diagnostics)), "      ")
     out.append(',\n      "findings": ')
-    # Seeds share evidence rows (see ``detect_app``), so each is rendered once. The
-    # report keeps every row alive, so a row's id is a key, and cheaper than its hash.
+    # Seeds share evidence rows (see ``detect_app``), so each is rendered once. ``r``
+    # keeps every row alive while it is rendered, so a row's id is a key, and cheaper
+    # than its hash.
     rendered: dict[int, str] = {}
     get, put = rendered.get, rendered.setdefault
     for i, f in enumerate(r.findings):
@@ -242,16 +286,6 @@ def _put_app(out: list[str], r: DetectionResult) -> None:
     out.append("\n      ]\n    }" if r.findings else "[]\n    }")
 
 
-def _json_report(report: CorpusReport) -> str:
-    out = [_HEADER.format(*report.totals, version=_str(SCHEMA_VERSION), depth=report.config.depth,
-                          digest=_str(ruleset_digest(report.config.rules)))]
-    for i, r in enumerate(report.apps):
-        out.append(",\n    " if i else "[\n    ")
-        _put_app(out, r)
-    out.append("\n  ]\n}\n" if report.apps else "[]\n}\n")
-    return "".join(out)
-
-
 def _text_row(category: str, e: Evidence) -> str:
     # Constants (and app ids) are escaped as in smali source, so none can start a line.
     if isinstance(e.hit, KeywordHit):
@@ -263,28 +297,45 @@ def _text_row(category: str, e: Evidence) -> str:
     return f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n"
 
 
-def _text_report(report: CorpusReport) -> str:
-    rendered = [{} for _ in ConditionSet._fields]  # per category, id(row) -> text: see _put_app
-    scanned, flagged, _ = report.totals
-    lines = [f"scanned={scanned} flagged={flagged}\n"]
-    for r in report.apps:
-        if not r.flagged:
-            continue
-        lines.append(f"app {_escape_string(r.app_id)}: {len(r.findings)} finding(s)\n")
-        for f in r.findings:
-            lines.append(f"  seed {f.seed}\n")
-            for category, evidence, seen in zip(ConditionSet._fields, f.conditions, rendered):
-                lines += [seen.get(id(e)) or seen.setdefault(id(e), _text_row(category, e)) for e in evidence]
-            for category, chain in f.witness_chains.items():
-                lines.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
-    return "".join(lines)
+def _put_text_app(out: list[str], r: DetectionResult, first: bool) -> None:
+    """Append one app's block, which an unflagged app does not have."""
+    if not r.flagged:
+        return
+    rendered = [{} for _ in ConditionSet._fields]  # per category, id(row) -> text: see _put_json_app
+    out.append(f"app {_escape_string(r.app_id)}: {len(r.findings)} finding(s)\n")
+    for f in r.findings:
+        out.append(f"  seed {f.seed}\n")
+        for category, evidence, seen in zip(ConditionSet._fields, f.conditions, rendered):
+            out += [seen.get(id(e)) or seen.setdefault(id(e), _text_row(category, e)) for e in evidence]
+        for category, chain in f.witness_chains.items():
+            out.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
+
+
+def _writer(fmt: str):
+    """The function that appends one app's part of a report in format ``fmt``."""
+    if fmt == "json":
+        return _put_json_app
+    if fmt == "text":
+        return _put_text_app
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _frame(fmt: str, config: DetectorConfig, totals: Totals) -> tuple[str, str]:
+    """The text before the first app's part and after the last one's."""
+    if fmt == "text":
+        return f"scanned={totals.apps_scanned} flagged={totals.apps_flagged}\n", ""
+    head = _HEADER.format(*totals, version=_str(SCHEMA_VERSION), depth=config.depth,
+                          digest=_str(ruleset_digest(config.rules)))
+    return head, ("\n  ]\n}\n" if totals.apps_scanned else "[]\n}\n")
 
 
 @_collector_paused
 def emit_report(report: CorpusReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports yield byte-identical output."""
-    if fmt == "json":
-        return _json_report(report)
-    if fmt == "text":
-        return _text_report(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    put = _writer(fmt)
+    head, tail = _frame(fmt, report.config, report.totals)
+    out = [head]
+    for i, r in enumerate(report.apps):
+        put(out, r, not i)
+    out.append(tail)
+    return "".join(out)

@@ -258,11 +258,13 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     seen: dict[str, str] = {}
     for rel, path in files:
         try:
-            with open(path, encoding="utf-8-sig") as f:
-                text = f.read()
+            with open(path, "rb", buffering=0) as f:
+                text = f.read().decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: {unreadable_reason(exc)}")
             continue
+        if "\r" in text:  # newlines as text mode reads them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
             cls = parse_class(text, source_file=rel)
         except SmaliParseError as exc:

@@ -67,6 +67,38 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("cpus", ["0", "0,1"], ids=["in-process", "in-worker"])
+    def test_failed_scan_exits_two(self, three_app_corpus, tmp_path, cpus):
+        # detect_app raises for app_ok1, which this process scans on one CPU and the
+        # worker scans on two. app_bad is flagged: exit 1 would read as "apps flagged".
+        script = (
+            "import os, sys\n"
+            "from storescan import report\n"
+            "from storescan.cli import main\n"
+            "real = report.detect_app\n"
+            "def detect(app, config, graph=None):\n"
+            "    if app.app_id == 'app_ok1':\n"
+            "        raise ValueError('planted fault in app_ok1')\n"
+            "    return real(app, config, graph=graph)\n"
+            "report.detect_app = detect\n"
+            "os.sched_getaffinity = lambda pid: set(map(int, sys.argv[1].split(',')))\n"
+            "main(sys.argv[2:], prog_name='storescan')\n"
+        )
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cpus, "scan", str(three_app_corpus), "--fail-on-detect",
+             "--output", str(out)],
+            capture_output=True, encoding="utf-8", env=cli_env(),
+        )
+        assert proc.returncode == 2
+        *traceback, error = proc.stderr.splitlines()
+        assert "ValueError: planted fault in app_ok1" in traceback
+        if cpus == "0":
+            assert error == "error: scan failed: ValueError: planted fault in app_ok1"
+        else:
+            assert error == "error: scan failed: RuntimeError: scan worker 1 failed: exit status 1"
+        assert proc.stdout == "" and not out.exists()
+
     def test_bad_format_exits_two(self, three_app_corpus):
         proc = run_cli("scan", str(three_app_corpus), "--format", "xml")
         assert proc.returncode == 2

@@ -20,7 +20,7 @@ from storescan import detector as detector_module
 from storescan import report as report_module
 from storescan.callgraph import build_callgraph
 from storescan.detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, Finding, detect_app
-from storescan.report import CorpusReport, emit_report, scan_corpus
+from storescan.report import CorpusReport, Totals, emit_report, scan_corpus, scan_report
 from storescan.rules import KeywordHit, PathSourceHit, WriteSinkHit, default_ruleset, ruleset_digest
 from storescan.smali_ir import MethodRef, parse_app_dir
 
@@ -344,11 +344,16 @@ class TestScanCorpus:
         assert sink.getvalue() == GOLDEN_CALLGRAPH
 
 
-def _scan_and_emit(root, depth=3, **kwargs):
+def _scan_and_emit(root, depth=3):
     # Every locally built object, the report included, is dropped on return.
-    report = scan(root, depth, graph_sink=io.StringIO(), **kwargs)
+    report = scan(root, depth, graph_sink=io.StringIO())
     for fmt in ("json", "text"):
         emit_report(report, fmt)
+
+
+def _scan_report_both(root, workers, depth=3):
+    for fmt in ("json", "text"):
+        scan_report(root, DetectorConfig(depth=depth), fmt, io.StringIO(), workers=workers)
 
 
 def unreachable_after(work) -> int:
@@ -401,11 +406,13 @@ class TestNoCycles:
         assert unreachable_after(lambda: _scan_and_emit(every_path_corpus)) == 0
 
     def test_parallel_scan_leaves_no_cyclic_garbage(self, every_path_corpus):
-        # This process unpickles the other shares' results; that may build no cycle either.
-        # The first parallel scan imports pickle and signal, whose imports leave cyclic
-        # garbage of their own, once per process; so that one is not counted.
-        scan(every_path_corpus, workers=2)
-        assert unreachable_after(lambda: _scan_and_emit(every_path_corpus, workers=2)) == 0
+        # scan_report renders each app as it is scanned, and this process unpickles the
+        # other shares' frames; neither may build a cycle. The first parallel scan
+        # imports pickle and signal, whose imports leave cyclic garbage of their own,
+        # once per process; so that one is not counted.
+        scan_report(every_path_corpus, DetectorConfig(), "json", workers=2)
+        for workers in (1, 2):
+            assert unreachable_after(lambda: _scan_report_both(every_path_corpus, workers)) == 0
 
     def test_dense_apps_leave_no_cyclic_garbage(self, tmp_path):
         rng = random.Random(89)
@@ -416,6 +423,7 @@ class TestNoCycles:
                 path.write_text(render_class(cls), encoding="utf-8")
         assert sum(r.flagged for r in scan(tmp_path, 6).apps) >= 2
         assert unreachable_after(lambda: _scan_and_emit(tmp_path, 6)) == 0
+        assert unreachable_after(lambda: _scan_report_both(tmp_path, 1, 6)) == 0
 
     def test_unlistable_directories_leave_no_cyclic_garbage(self, chain_corpus, monkeypatch):
         # os.walk hands each listing error to parse_app_dir, which raises the app
@@ -438,8 +446,8 @@ class TestNoCycles:
 
 
 class TestCollectorState:
-    """``scan_corpus`` and ``emit_report`` pause the collector, and give the
-    caller back the state it had, also when they raise."""
+    """``scan_corpus``, ``scan_report`` and ``emit_report`` pause the collector, and
+    give the caller back the state it had, also when they raise."""
 
     @staticmethod
     def assert_paused_and_restored(work, during, enabled, fails):
@@ -456,7 +464,7 @@ class TestCollectorState:
             (gc.enable if was_enabled else gc.disable)()
         assert during and not any(during)
 
-    def assert_scan_paused_and_restored(self, root, monkeypatch, enabled, fails, workers):
+    def assert_scan_paused_and_restored(self, root, monkeypatch, enabled, fails, scan):
         # This process scans share 0 (with 2 workers, app_bad and app_ok1), and
         # raises on its second app.
         during = []
@@ -468,18 +476,20 @@ class TestCollectorState:
             return parse_app_dir(app_dir, app_id)
 
         monkeypatch.setattr(report_module, "parse_app_dir", parse)
-        self.assert_paused_and_restored(lambda: scan(root, workers=workers), during, enabled, fails)
+        self.assert_paused_and_restored(lambda: scan(root), during, enabled, fails)
         return during
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
     def test_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
-        self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, workers=1)
+        self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, scan)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
     def test_parallel_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
-        during = self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, workers=2)
+        during = self.assert_scan_paused_and_restored(
+            chain_corpus, monkeypatch, enabled, fails, lambda root: scan_report(root, DetectorConfig(), "text", workers=2)
+        )
         assert len(during) == 2  # the worker parsed the other two apps
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -500,11 +510,20 @@ class TestCollectorState:
         self.assert_paused_and_restored(lambda: emit_report(report, fmt), during, enabled, fails)
 
 
-def _outputs(root, workers: int) -> tuple[str, str, str]:
-    """The JSON and text reports and the call-graph dump of one scan."""
+def _outputs(root, workers: int) -> tuple[Totals, bytes, bytes, str]:
+    """``scan_report``'s totals, its JSON and text reports, and its call-graph dump."""
     sink = io.StringIO()
-    report = scan(root, graph_sink=sink, workers=workers)
-    return emit_report(report, "json"), emit_report(report, "text"), sink.getvalue()
+    totals, json_pieces = scan_report(root, DetectorConfig(), "json", sink, workers=workers)
+    _, text_pieces = scan_report(root, DetectorConfig(), "text", workers=workers)
+    return totals, b"".join(json_pieces), b"".join(text_pieces), sink.getvalue()
+
+
+def _in_process(root) -> tuple[Totals, bytes, bytes, str]:
+    """The same four, from ``scan_corpus`` and ``emit_report``."""
+    sink = io.StringIO()
+    report = scan(root, graph_sink=sink)
+    json_text, text = (emit_report(report, fmt).encode("utf-8", "backslashreplace") for fmt in ("json", "text"))
+    return report.totals, json_text, text, sink.getvalue()
 
 
 def assert_no_child_left() -> None:
@@ -513,13 +532,14 @@ def assert_no_child_left() -> None:
 
 
 class TestWorkers:
-    """``scan_corpus(..., workers=w)`` forks ``w - 1`` workers; whatever ``w``, the
-    reports and the call-graph dump are the bytes one process writes."""
+    """``scan_report(..., workers=w)`` forks ``w - 1`` workers; whatever ``w``, the
+    reports and the call-graph dump are the bytes that ``scan_corpus`` and
+    ``emit_report`` give in one process."""
 
-    @pytest.mark.parametrize("workers", [2, 3, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_every_path_corpus_same_bytes(self, every_path_corpus, workers):
-        expected = _outputs(every_path_corpus, 1)
-        assert expected[0].count('"app_id"') == 6 and expected[2].count("# callgraph") == 5
+        expected = _in_process(every_path_corpus)
+        assert expected[1].count(b'"app_id"') == 6 and expected[3].count("# callgraph") == 5
         assert _outputs(every_path_corpus, workers) == expected
         assert_no_child_left()
 
@@ -531,8 +551,8 @@ class TestWorkers:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             write_corpus(root, [apps[i] for i in picks])
-            expected = _outputs(root, 1)
-            for workers in (2, 3, 7):
+            expected = _in_process(root)
+            for workers in (1, 2, 3, 7):
                 assert _outputs(root, workers) == expected
         assert_no_child_left()
 
@@ -546,7 +566,7 @@ class TestWorkers:
         monkeypatch.setattr(report_module, "detect_app", detect)
         pid = os.getpid()
         with pytest.raises(RuntimeError, match="scan worker 1 failed: exit status 1"):
-            scan(chain_corpus, workers=2)
+            scan_report(chain_corpus, DetectorConfig(), "json", workers=2)
         assert os.getpid() == pid
         assert_no_child_left()
         assert "ValueError: planted fault in app_chain" in capfd.readouterr().err
@@ -563,7 +583,7 @@ class TestWorkers:
         monkeypatch.setattr(report_module, "parse_app_dir", parse)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            scan(chain_corpus, workers=2)
+            scan_report(chain_corpus, DetectorConfig(), "json", workers=2)
         assert_no_child_left()
         assert time.monotonic() - started < 30
 
@@ -654,10 +674,13 @@ class TestEmitReport:
         assert app["app_id"] == "odd\nid"
         assert app["findings"][0]["categories"]["keyword"][0]["value"] == forged.replace("\\n", "\n")
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, three_app_corpus, monkeypatch):
         report = CorpusReport(DetectorConfig(), [])
         with pytest.raises(ValueError):
             emit_report(report, "xml")
+        monkeypatch.setattr(report_module, "parse_app_dir", None)  # rejected before any app is read
+        with pytest.raises(ValueError):
+            scan_report(three_app_corpus, DetectorConfig(), "xml")
 
     def test_json_validates_against_schema(self, three_app_corpus, tmp_path):
         schema = load_report_schema()

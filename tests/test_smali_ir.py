@@ -434,9 +434,12 @@ class TestParseAppDir:
             (b".class Lx/B;\n.method broken()V\n", "line 2: .method broken()V has no matching"),
             (b"", "line 1: no .class directive found"),
             (b".class Lx/B;\n\xff\xfe\n", "unreadable: 'utf-8' codec can't decode"),
+            # The position counts from the byte after the BOM.
+            (b"\xef\xbb\xbf.class Lx/B;\n\xff\n",
+             "unreadable: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
             (None, "unreadable: [Errno 21] Is a directory"),
         ],
-        ids=["unterminated-method", "empty", "non-utf8", "directory"],
+        ids=["unterminated-method", "empty", "non-utf8", "bom-non-utf8", "directory"],
     )
     def test_malformed_file_becomes_diagnostic(self, tmp_path, content, message):
         # One bad file costs exactly one diagnostic; its good sibling still parses.
@@ -465,18 +468,18 @@ class TestParseAppDir:
             metadata=[".field private x:I"],
         )
         apps = {}
-        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
             (tmp_path / name).mkdir()
             (tmp_path / name / "A.smali").write_bytes(text.replace("\n", newline).encode("utf-8"))
             app, diags = parse_app_dir(tmp_path / name, "app")
             assert diags == []
             apps[name] = app
-        assert apps["crlf"] == apps["lf"]
+        assert apps["crlf"] == apps["lf"] == apps["cr"]
 
         def source_lines(app):  # an uninterpreted line is compared as text, in the models above
             return [ins.source_line for c in app.classes for m in c.methods for ins in m.body if not isinstance(ins, str)]
 
-        assert source_lines(apps["crlf"]) == source_lines(apps["lf"])
+        assert source_lines(apps["crlf"]) == source_lines(apps["lf"]) == source_lines(apps["cr"])
 
     def test_non_smali_files_ignored(self, tmp_path):
         (tmp_path / "README.txt").write_text("not smali", encoding="utf-8")
