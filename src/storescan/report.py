@@ -107,25 +107,25 @@ def scan_corpus(root: str | Path, config: DetectorConfig, graph_sink: TextIO | N
     return CorpusReport(config, [result for result, _ in scanned])
 
 
-def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, fmt: str, dump: bool,
+def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool,
                 first: bool) -> list[tuple[bool, int, bytes, str | None]]:
     """Per app of ``apps``: flagged, its diagnostic count, its part of the report,
-    rendered as soon as it is scanned, and its call graph text when ``dump``.
-    ``first`` when the share holds the corpus's first app."""
-    put = _writer(fmt)
+    rendered by ``put`` as soon as it is scanned, and its call graph text when
+    ``dump``. ``first`` when the share holds the corpus's first app."""
     frames = []
     for app_id, app_dir in apps:
         result, graph = _scan_app(app_id, app_dir, config, dump)
         out: list[str] = []
         put(out, result, first and not frames)
+        text = "".join(out)
+        out.clear()  # before the encoded copy: a large app has hundreds of thousands of pieces
         # A lone surrogate (an unpaired dex string escape, or an app directory name
         # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
-        part = "".join(out).encode("utf-8", "backslashreplace")
-        frames.append((result.flagged, len(result.diagnostics), part, graph))
+        frames.append((result.flagged, len(result.diagnostics), text.encode("utf-8", "backslashreplace"), graph))
     return frames
 
 
-def _worker(apps: list[tuple[str, str]], config: DetectorConfig, fmt: str, dump: bool, fds: list[int]) -> NoReturn:
+def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, fds: list[int]) -> NoReturn:
     """A forked child's whole life: close the parent's pipe ends in ``fds``, pickle the
     frames for ``apps`` into the last one, and exit, with 1 after a traceback."""
     code = 1
@@ -135,7 +135,7 @@ def _worker(apps: list[tuple[str, str]], config: DetectorConfig, fmt: str, dump:
         for fd in fds[:-1]:
             os.close(fd)
         with open(fds[-1], "wb") as pipe:
-            pickle.dump(_scan_share(apps, config, fmt, dump, False), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_scan_share(apps, config, put, dump, False), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException:
         import traceback
@@ -169,7 +169,7 @@ def scan_report(
     unreaped. A caller that runs threads keeps ``workers`` at 1: a forked child has
     only the calling thread.
     """
-    _writer(fmt)  # before any work
+    put = _writer(fmt)
     app_dirs = _app_dirs(root)
     jobs = max(1, min(workers, len(app_dirs))) if hasattr(os, "fork") else 1
     dump = graph_sink is not None
@@ -184,10 +184,10 @@ def scan_report(
             fds += os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(app_dirs[k::jobs], config, fmt, dump, fds)
+                _worker(app_dirs[k::jobs], config, put, dump, fds)
             pids.append(pid)
             os.close(fds.pop())  # the write end
-        frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, fmt, dump, True)
+        frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, put, dump, True)
         for k in range(1, jobs):
             with open(fds.pop(0), "rb") as pipe:
                 data = pipe.read()  # to EOF, which comes when the worker exits

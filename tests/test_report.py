@@ -487,9 +487,10 @@ class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "raises"])
     def test_parallel_scan_restores_callers_collector_state(self, chain_corpus, monkeypatch, enabled, fails):
-        during = self.assert_scan_paused_and_restored(
-            chain_corpus, monkeypatch, enabled, fails, lambda root: scan_report(root, DetectorConfig(), "text", workers=2)
-        )
+        def parallel_scan(root):
+            return scan_report(root, DetectorConfig(), "text", workers=2)
+
+        during = self.assert_scan_paused_and_restored(chain_corpus, monkeypatch, enabled, fails, parallel_scan)
         assert len(during) == 2  # the worker parsed the other two apps
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -554,6 +555,22 @@ class TestWorkers:
             expected = _in_process(root)
             for workers in (1, 2, 3, 7):
                 assert _outputs(root, workers) == expected
+        assert_no_child_left()
+
+    def test_workers_send_rendered_parts(self, chain_corpus, monkeypatch):
+        # A worker pickles one (flagged, diagnostic count, part, edge text) frame per app;
+        # a failed check in the forked worker fails its exit status, and so the scan.
+        import pickle
+
+        dump = pickle.dump
+
+        def checked_dump(frames, file, protocol):
+            edge_text = type(frames[0][3])  # str with a graph sink, else None
+            assert [tuple(map(type, f)) for f in frames] == [(bool, int, bytes, edge_text)] * 2
+            dump(frames, file, protocol)
+
+        monkeypatch.setattr(pickle, "dump", checked_dump)
+        assert _outputs(chain_corpus, 2) == _in_process(chain_corpus)
         assert_no_child_left()
 
     def test_failed_worker_raises_with_its_exit_status(self, chain_corpus, monkeypatch, capfd):
