@@ -44,13 +44,26 @@ class TestExitCodes:
         proc = run_cli("scan", str(root), "--fail-on-detect")
         assert proc.returncode == 0
 
-    def test_missing_root_exits_two(self, tmp_path):
-        proc = run_cli("scan", str(tmp_path / "missing"))
+    @pytest.mark.parametrize("case", ["missing", "root-is-file", "rules-dir", "output-dir"])
+    def test_missing_root_exits_two(self, three_app_corpus, tmp_path, case):
+        # No path is checked before it is used: each is the OS's own error, on one line.
+        (tmp_path / "file").write_bytes(b"")
+        (tmp_path / "dir").mkdir()
+        root = {"missing": tmp_path / "missing", "root-is-file": tmp_path / "file"}.get(case, three_app_corpus)
+        rules = ["--rules", str(tmp_path / "dir")] if case == "rules-dir" else []
+        out = tmp_path / ("dir" if case == "output-dir" else "report.json")
+        proc = run_cli("scan", str(root), *rules, "--output", str(out))
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not out.is_file() and not any((tmp_path / "dir").iterdir())
 
-    def test_bad_depth_exits_two(self, three_app_corpus):
-        proc = run_cli("scan", str(three_app_corpus), "--depth", "0")
+    @pytest.mark.parametrize("args", [["--depth", "0"], ["--dep", "4"]], ids=["zero", "abbreviated"])
+    def test_bad_depth_exits_two(self, three_app_corpus, tmp_path, args):
+        out = tmp_path / "report.json"
+        proc = run_cli("scan", str(three_app_corpus), *args, "--output", str(out))
         assert proc.returncode == 2
+        assert not out.exists()
 
     def test_bad_rules_file_exits_two(self, three_app_corpus, tmp_path):
         rules = tmp_path / "rules.txt"
@@ -67,6 +80,27 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
+    def test_unwritable_stdout_exits_two(self, tmp_path, stdout):
+        # Exit 1 would read as "apps flagged" under --fail-on-detect.
+        root = tmp_path / "corpus"
+        root.mkdir()
+        if stdout == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full device")
+            sink = open("/dev/full", "wb")
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            sink = open(write_end, "wb")
+        with sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "storescan", "scan", str(root), "--fail-on-detect"],
+                stdout=sink, stderr=subprocess.PIPE, encoding="utf-8", env=cli_env(),
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("cpus", ["0", "0,1"], ids=["in-process", "in-worker"])
     def test_failed_scan_exits_two(self, three_app_corpus, tmp_path, cpus):
         # detect_app raises for app_ok1, which this process scans on one CPU and the
@@ -82,7 +116,7 @@ class TestExitCodes:
             "    return real(app, config, graph=graph)\n"
             "report.detect_app = detect\n"
             "os.sched_getaffinity = lambda pid: set(map(int, sys.argv[1].split(',')))\n"
-            "main(sys.argv[2:], prog_name='storescan')\n"
+            "main(sys.argv[2:])\n"
         )
         out = tmp_path / "report.json"
         proc = subprocess.run(
@@ -99,9 +133,32 @@ class TestExitCodes:
             assert error == "error: scan failed: RuntimeError: scan worker 1 failed: exit status 1"
         assert proc.stdout == "" and not out.exists()
 
-    def test_bad_format_exits_two(self, three_app_corpus):
-        proc = run_cli("scan", str(three_app_corpus), "--format", "xml")
+    def test_bad_format_exits_two(self, three_app_corpus, tmp_path):
+        out = tmp_path / "report.json"
+        proc = run_cli("scan", str(three_app_corpus), "--format", "xml", "--output", str(out))
         assert proc.returncode == 2
+        assert not out.exists()
+
+
+def test_needs_only_the_standard_library(tmp_path):
+    # The modules already loaded are left out: a .pth file can make site import anything.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from storescan.cli import main\n"
+        "status = 'no SystemExit'\n"
+        "try:\n"
+        "    main(['scan', sys.argv[1]])\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(status, sorted(new - set(sys.stdlib_module_names) - {'storescan'}), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, encoding="utf-8", env=cli_env()
+    )
+    assert proc.stderr.splitlines()[-1:] == ["0 []"], proc.stderr
+    assert json.loads(proc.stdout)["totals"]["apps_scanned"] == 0
 
 
 class TestOutputs:
