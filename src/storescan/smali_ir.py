@@ -1,10 +1,12 @@
 """Parser for a pragmatic subset of the smali class-file format.
 
-Only the instruction families the detection rules consume are interpreted:
-``invoke-*`` and ``const-string`` (including ``/jumbo``). Every other body
-line, ``new-instance`` included, is kept as its own text, a plain ``str``, so
-the model can be rendered back to smali that re-parses structurally identical
-(``render_class`` in ``tests/appgen.py``).
+The model holds what the scan reads: each class's descriptor, ``.super``
+and methods, and in each method body its ``invoke-*`` and ``const-string``
+(including ``/jumbo``) lines, in order, each with its line number. The
+``.class``, ``.super``, ``.method`` and ``.end method`` lines are checked for
+the structure they must have. Everything else is read past: flags, fields,
+annotations, comments and every other instruction, ``new-instance`` among
+them.
 
 String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
 or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
@@ -65,25 +67,16 @@ class StringConst:
     source_line: int = field(default=0, compare=False)
 
 
-#: A ``str`` is a body line the parser does not interpret, kept verbatim.
-Instruction = Invoke | StringConst | str
-
-
 @dataclass(slots=True)
 class MethodDef:
     key: MethodRef
-    flags: list[str] = field(default_factory=list)
-    body: list[Instruction] = field(default_factory=list)
+    body: list[Invoke | StringConst] = field(default_factory=list)
 
 
 @dataclass(slots=True)
 class ClassDef:
     descriptor: str
     super_descriptor: str = ""
-    flags: list[str] = field(default_factory=list)
-    #: Non-directive-critical lines outside method bodies (fields, annotations,
-    #: comments), kept verbatim in source order.
-    metadata: list[str] = field(default_factory=list)
     methods: list[MethodDef] = field(default_factory=list)
     source_file: str = ""
 
@@ -126,15 +119,15 @@ def _escape_string(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[0]) or f"\\u{ord(m[0]):04x}", s)
 
 
-def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) -> tuple[list[str], re.Match]:
-    """Split a `.class` or `.method` line into its flags and the match of its last token."""
+def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) -> re.Match:
+    """Match the last token of a `.class` or `.method` line, the one after its flags."""
     tokens = stripped.split()
     if len(tokens) < 2:
         raise SmaliParseError(f"missing {what} in {tokens[0]}", lineno)
     m = grammar.match(tokens[-1])
     if not m:
         raise SmaliParseError(f"bad {what} {tokens[-1]!r}", lineno)
-    return tokens[1:-1], m
+    return m
 
 
 def parse_class(text: str, source_file: str = "") -> ClassDef:
@@ -142,48 +135,38 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
 
     Raises SmaliParseError carrying the offending line number.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
     descriptor: str | None = None
     super_descriptor = ""
-    class_flags: list[str] = []
-    metadata: list[str] = []
     methods: list[MethodDef] = []
     seen_methods: set[MethodRef] = set()
 
     cur: MethodDef | None = None  # the open method, declared at line cur_line
     cur_line = 0
 
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         stripped = raw.strip()
         if cur is not None:
-            # Dispatch on the first character; most body lines start with none of "i"
-            # (invoke-), "c" (const-string) or "." (directive). A line that fails its
-            # family's grammar stays uninterpreted text.
+            # Dispatch on the first character. Most body lines start with none of "i"
+            # (invoke-), "c" (const-string) or "." (directive) and add nothing to the
+            # body, as does a line that fails its family's grammar.
             first = stripped[:1]
             if first == "i":
                 m = _INVOKE_RE.match(stripped)
                 if m:
                     body.append(Invoke(m[1], MethodRef._make(m.group(2, 3, 4)), lineno))
-                    continue
             elif first == "c":
                 m = _CONST_STRING_RE.match(stripped)
                 if m:
                     body.append(StringConst(_unescape_string(m[1]), lineno))
-                    continue
             elif first == ".":
                 if stripped == ".end method":
                     methods.append(cur)
                     cur = None
-                    continue
-                if stripped.startswith(".method") and stripped.split(maxsplit=1)[0] == ".method":
+                elif stripped.startswith(".method") and stripped.split(maxsplit=1)[0] == ".method":
                     raise SmaliParseError(
                         f".method {cur.key.name}{cur.key.proto} (line {cur_line}) not closed before next .method",
                         lineno,
                     )
-            body.append(raw)
             continue
 
         # Directives and ".end method" start with "."; other lines need no head token.
@@ -191,8 +174,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         if head == ".class":
             if descriptor is not None:
                 raise SmaliParseError("duplicate .class directive", lineno)
-            class_flags, m = _parse_header(stripped, lineno, _CLASS_DESC_RE, "class descriptor")
-            descriptor = m[0]
+            descriptor = _parse_header(stripped, lineno, _CLASS_DESC_RE, "class descriptor")[0]
         elif head == ".super":
             tokens = stripped.split()
             if len(tokens) != 2 or not _CLASS_DESC_RE.match(tokens[1]):
@@ -203,17 +185,15 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         elif head == ".method":
             if descriptor is None:
                 raise SmaliParseError(".method before .class", lineno)
-            flags, m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
+            m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
             key = MethodRef(descriptor, *m.groups())
             if key in seen_methods:
                 raise SmaliParseError(f"duplicate method {key.name}{key.proto}", lineno)
             seen_methods.add(key)
-            cur, cur_line = MethodDef(key, flags), lineno
+            cur, cur_line = MethodDef(key), lineno
             body = cur.body
         elif stripped == ".end method":
             raise SmaliParseError(".end method outside a method", lineno)
-        elif stripped:
-            metadata.append(raw)
 
     if cur is not None:
         raise SmaliParseError(
@@ -221,7 +201,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         )
     if descriptor is None:
         raise SmaliParseError("no .class directive found", 1)
-    return ClassDef(descriptor, super_descriptor, class_flags, metadata, methods, source_file)
+    return ClassDef(descriptor, super_descriptor, methods, source_file)
 
 
 def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:

@@ -12,7 +12,6 @@ from typing import NamedTuple
 from storescan.smali_ir import (
     AppModel,
     ClassDef,
-    Instruction,
     Invoke,
     MethodDef,
     MethodRef,
@@ -292,7 +291,7 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
 
     classes: dict[str, list[MethodDef]] = {}
     for j, (owner, name, proto) in enumerate(keys):
-        body: list = ["    .locals 3"]
+        body: list[Invoke | StringConst] = []
         if j in kw_nodes:
             body.append(StringConst(rng.choice(KEYWORD_STRINGS)))
         if j in path_nodes:
@@ -309,10 +308,10 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
         for callee in adjacency[j]:
             co, cn, cp = keys[callee]
             body.append(Invoke("static", MethodRef(co, cn, cp)))
-        classes.setdefault(owner, []).append(MethodDef(MethodRef(owner, name, proto), ["public", "static"], body))
+        classes.setdefault(owner, []).append(MethodDef(MethodRef(owner, name, proto), body))
 
     class_defs = [
-        ClassDef(owner, "Ljava/lang/Object;", ["public"], [], methods, f"{owner}.smali")
+        ClassDef(owner, "Ljava/lang/Object;", methods, f"{owner}.smali")
         for owner, methods in sorted(classes.items())
     ]
     return RandomInstance(AppModel("rand", class_defs), adjacency, kw_nodes, path_nodes, sink_nodes)
@@ -438,24 +437,23 @@ def write_corpus(root, apps: list[PlantedApp]) -> None:
             path.write_text(text, encoding="utf-8")
 
 
-def _render_instruction(ins: Instruction) -> str:
-    if isinstance(ins, str):
-        return ins
+def _render_instruction(ins: Invoke | StringConst) -> str:
     if isinstance(ins, Invoke):
         return f"    invoke-{ins.kind} {{}}, {ins.target}"
     return f'    const-string v0, "{_escape_string(ins.value)}"'
 
 
 def render_class(cls: ClassDef) -> str:
-    """Emit smali text whose re-parse is structurally identical to ``cls``: an
-    uninterpreted line as it stands, an interpreted one from its structure."""
-    parts = [" ".join([".class", *cls.flags, cls.descriptor])]
+    """Emit smali text whose re-parse is structurally identical to ``cls``. Each
+    instruction is written from its structure; the class is ``public``, each
+    method ``public static`` with ``.locals 3``."""
+    parts = [f".class public {cls.descriptor}"]
     if cls.super_descriptor:
         parts.append(f".super {cls.super_descriptor}")
-    parts.extend(cls.metadata)
     for m in cls.methods:
         parts.append("")
-        parts.append(" ".join([".method", *m.flags, f"{m.key.name}{m.key.proto}"]))
+        parts.append(f".method public static {m.key.name}{m.key.proto}")
+        parts.append("    .locals 3")
         parts.extend(_render_instruction(ins) for ins in m.body)
         parts.append(".end method")
     return "\n".join(parts) + "\n"

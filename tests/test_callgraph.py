@@ -15,8 +15,8 @@ def app_from_adjacency(adjacency: dict[str, list[str]]) -> AppModel:
     methods = []
     for name in adjacency:
         body = [Invoke("static", MethodRef(owner, callee, "()V")) for callee in adjacency[name]]
-        methods.append(MethodDef(MethodRef(owner, name, "()V"), [], body))
-    return AppModel("graph", [ClassDef(owner, "Ljava/lang/Object;", [], [], methods)])
+        methods.append(MethodDef(MethodRef(owner, name, "()V"), body))
+    return AppModel("graph", [ClassDef(owner, "Ljava/lang/Object;", methods)])
 
 
 def key(name: str) -> tuple[str, str, str]:
@@ -41,7 +41,7 @@ class TestBuildCallgraph:
                 ClassDef(
                     "La/A;",
                     "Ljava/lang/Object;",
-                    methods=[MethodDef(MethodRef("La/A;", "f", "()V"), [], [Invoke("static", ref)])],
+                    methods=[MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke("static", ref)])],
                 )
             ],
         )
@@ -56,8 +56,8 @@ class TestBuildCallgraph:
                     "La/A;",
                     "Ljava/lang/Object;",
                     methods=[
-                        MethodDef(MethodRef("La/A;", "f", "()V"), [], [Invoke("static", MethodRef("La/A;", "g", "(I)V"))]),
-                        MethodDef(MethodRef("La/A;", "g", "()V"), [], []),
+                        MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke("static", MethodRef("La/A;", "g", "(I)V"))]),
+                        MethodDef(MethodRef("La/A;", "g", "()V"), []),
                     ],
                 )
             ],

@@ -48,8 +48,8 @@ def make_app(layout: dict[str, tuple[list, list[str]]]) -> AppModel:
     for name, (mark_ins, callees) in layout.items():
         body = list(mark_ins)
         body.extend(Invoke("static", MethodRef(OWNER, c, "()V")) for c in callees)
-        methods.append(MethodDef(MethodRef(OWNER, name, "()V"), [], body))
-    return AppModel("app", [ClassDef(OWNER, "Ljava/lang/Object;", [], [], methods)])
+        methods.append(MethodDef(MethodRef(OWNER, name, "()V"), body))
+    return AppModel("app", [ClassDef(OWNER, "Ljava/lang/Object;", methods)])
 
 
 def key(name: str):

@@ -44,11 +44,11 @@ def _write_pair_corpus(root) -> None:
             for m in cls.methods:
                 body = [Invoke(x.kind, _pair_name(x.target)) if isinstance(x, Invoke) else x for x in m.body]
                 key = _pair_name(m.key)
-                classes.setdefault(key.class_descriptor, []).append(MethodDef(key, m.flags, body))
+                classes.setdefault(key.class_descriptor, []).append(MethodDef(key, body))
         app = root / f"app{i:02d}"
         app.mkdir(parents=True)
         for owner, methods in sorted(classes.items()):
-            text = render_class(ClassDef(owner, "Ljava/lang/Object;", ["public"], [], methods))
+            text = render_class(ClassDef(owner, "Ljava/lang/Object;", methods))
             (app / f"{owner[5:-1]}.smali").write_text(text, encoding="utf-8")
 
 

@@ -146,7 +146,7 @@ class TestMatchKeyword:
 
 
 def method_with(body) -> MethodDef:
-    return MethodDef(MethodRef("La/A;", "f", "()V"), [], body)
+    return MethodDef(MethodRef("La/A;", "f", "()V"), body)
 
 
 class TestMarkFunction:
@@ -231,7 +231,8 @@ class TestMarkFunction:
         assert [h.evidence for h in marks.path_source_hits] == ["/sdcard/\\u+06cog"]
 
     def test_opaque_lines_never_match(self):
-        m = method_with(['    const-string v0 "/user_log"'])  # malformed, stays uninterpreted
+        line = '    const-string v0 "/user_log"'  # malformed: no comma, so not a string constant
+        (m,) = parse_class(class_text("La/B;", methods=[method_text("f", body=[line])])).methods
         marks = mark_function(m, MarkMemo(default_ruleset()))
         assert marks.keyword_hits == []
 
@@ -251,7 +252,7 @@ class TestMarkFunction:
 
 
 def app_of(app_id: str, bodies: list[list]) -> AppModel:
-    methods = [MethodDef(MethodRef("La/A;", f"f{i}", "()V"), [], body) for i, body in enumerate(bodies)]
+    methods = [MethodDef(MethodRef("La/A;", f"f{i}", "()V"), body) for i, body in enumerate(bodies)]
     return AppModel(app_id, [ClassDef("La/A;", methods=methods)])
 
 
@@ -263,7 +264,7 @@ targets = st.sampled_from(
        MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V")]
 )
 instructions = st.builds(StringConst, constants, st.integers(1, 99)) | st.builds(
-    Invoke, st.just("virtual"), targets, st.integers(1, 99)) | st.sampled_from(["    nop", "    return-void"])
+    Invoke, st.just("virtual"), targets, st.integers(1, 99))
 
 
 class TestMarkMemo:
