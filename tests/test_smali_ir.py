@@ -36,6 +36,14 @@ class TestParseClass:
         assert cls.super_descriptor == "Ljava/lang/Object;"
         assert cls.methods == []
 
+    def test_class_flags(self):
+        # Flags on the class and method lines are read past: the descriptor and
+        # the method key are the tokens after them.
+        text = ".class public final Lcom/a/B;\n.super Ljava/lang/Object;\n.method private static final f()V\n.end method\n"
+        cls = parse_class(text)
+        assert cls.descriptor == "Lcom/a/B;"
+        assert [m.key for m in cls.methods] == [MethodRef("Lcom/a/B;", "f", "()V")]
+
     def test_invoke_static(self):
         text = class_text(
             "Lcom/a/B;",
@@ -186,6 +194,21 @@ class TestParseClass:
 
         assert source_lines(plain) == [4, 5]
         assert source_lines(rich) == [17, 19]
+
+    def test_metadata_retained_verbatim(self):
+        # Of the lines outside methods only .super is kept, as written; .source
+        # does not stand in for the file the class was read from.
+        text = (
+            ".class Lcom/a/B;\n"
+            ".super Lcom/a/Base$Inner;\n"
+            '.source "Other.java"\n'
+            ".implements Ljava/lang/Runnable;\n"
+            ".field private x:I\n"
+            "# a comment\n"
+        )
+        cls = parse_class(text, source_file="com/a/B.smali")
+        assert cls == ClassDef("Lcom/a/B;", "Lcom/a/Base$Inner;", [], "com/a/B.smali")
+        assert cls.source_file == "com/a/B.smali"
 
     # Diagnostics are report bytes ("rel: message"), so their full text is pinned.
 
@@ -404,6 +427,17 @@ class TestRenderRoundTrip:
         first = parse_class(text)
         second = parse_class(render_class(first))
         assert second.methods[0].body == first.methods[0].body
+
+    def test_opaque_byte_identical(self):
+        # Uninterpreted lines leave no trace in the model, so a class read with
+        # them renders to the same bytes as one read without them, and rendered
+        # text, its own .locals line included, renders back byte for byte.
+        call = "    invoke-static {}, La/A;->t()V"
+        bare = parse_class(class_text("Lcom/a/B;", methods=[method_text("f", body=[call])]))
+        noisy = parse_class(class_text("Lcom/a/B;", methods=[method_text("f", body=["    nop", call, "    return-void"])]))
+        rendered = render_class(bare)
+        assert render_class(noisy) == rendered
+        assert render_class(parse_class(rendered)) == rendered
 
     def test_roundtrip_fixture_corpus(self):
         for fixture in fixture_classes():
