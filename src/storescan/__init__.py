@@ -9,6 +9,8 @@ The package root exports the documented entry points and the error types
 callers catch; everything else is imported from its submodule.
 """
 
+__version__ = "0.1.0"
+
 from .detector import DetectorConfig, detect_app
 from .rules import RuleFormatError
 from .smali_ir import DuplicateClassError, SmaliParseError, parse_app_dir

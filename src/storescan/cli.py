@@ -6,22 +6,10 @@ import argparse
 import os
 import sys
 
+from . import __version__
 from .detector import DetectorConfig
 from .report import scan_report
 from .rules import RuleFormatError, default_ruleset, load_ruleset
-
-
-class _Version(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        # Imported here, not at module level, so that every other command starts faster.
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            installed = version("storescan")
-        except PackageNotFoundError:
-            installed = "unknown (not installed)"
-        print(f"storescan, version {installed}")
-        parser.exit()
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -31,7 +19,8 @@ def main(argv: list[str] | None = None) -> None:
         description="Scan disassembled Android apps for app-private writes to shared storage.",
         allow_abbrev=False,
     )
-    parser.add_argument("--version", action=_Version, nargs=0, help="Show the version and exit.")
+    parser.add_argument("--version", action="version", version=f"storescan, version {__version__}",
+                        help="Show the version and exit.")
     commands = parser.add_subparsers(dest="command", required=True)
     scan = commands.add_parser(
         "scan", help="Scan a corpus.", description="Scan CORPUS_ROOT, one app per immediate subdirectory.",

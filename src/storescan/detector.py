@@ -61,7 +61,9 @@ class Evidence(NamedTuple):
 
 class ConditionSet(NamedTuple):
     """Criterion evidence for one seed, one list per category. The fields are
-    the category names in report order; nothing else in the package lists them."""
+    the category names in report order. ``rules.MarkSet`` lists them too, each
+    with an ``_hits`` suffix; ``test_mark_fields_follow_condition_fields`` in
+    ``tests/test_detector.py`` holds the two in step."""
 
     keyword: list[Evidence]
     path_source: list[Evidence]

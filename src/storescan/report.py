@@ -91,20 +91,14 @@ def _app_dirs(root: str | Path) -> list[tuple[str, str]]:
 
 
 @_collector_paused
-def scan_corpus(root: str | Path, config: DetectorConfig, graph_sink: TextIO | None = None) -> CorpusReport:
+def scan_corpus(root: str | Path, config: DetectorConfig) -> CorpusReport:
     """Scan a corpus directory, one immediate subdirectory per app, in this process.
 
     Per-app failures (unreadable directory, duplicate class declarations)
-    become that app's diagnostics and never abort the corpus. When
-    ``graph_sink`` is given, each app's call graph is written to it as a
-    deterministic edge list. Raises the OS's own OSError when ``root`` cannot
-    be listed.
+    become that app's diagnostics and never abort the corpus. Raises the OS's
+    own OSError when ``root`` cannot be listed.
     """
-    dump = graph_sink is not None
-    scanned = [_scan_app(*a, config, dump) for a in _app_dirs(root)]
-    if dump:
-        graph_sink.writelines(text for _, text in scanned if text)
-    return CorpusReport(config, [result for result, _ in scanned])
+    return CorpusReport(config, [_scan_app(*a, config, False)[0] for a in _app_dirs(root)])
 
 
 def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool,
@@ -127,11 +121,14 @@ def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: 
 
 def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, fds: list[int]) -> NoReturn:
     """A forked child's whole life: close the parent's pipe ends in ``fds``, pickle the
-    frames for ``apps`` into the last one, and exit, with 1 after a traceback."""
+    frames for ``apps`` into the last one, and exit, with 1 after a traceback. Ctrl-C
+    kills it silently, so the parent's traceback is the only one."""
     code = 1
     try:
         import pickle
+        import signal
 
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
         for fd in fds[:-1]:
             os.close(fd)
         with open(fds[-1], "wb") as pipe:
@@ -158,7 +155,8 @@ def scan_report(
     """What ``storescan scan`` writes: the totals, and the report in format ``fmt``
     as UTF-8 pieces (header, one part per app in app order, closing) whose
     concatenation is ``emit_report(scan_corpus(root, config), fmt)`` encoded with
-    ``backslashreplace``. ``graph_sink`` and the errors are as for ``scan_corpus``.
+    ``backslashreplace``. Each app's call graph goes to ``graph_sink``, if given, as
+    a deterministic edge list, in app order. The errors are as for ``scan_corpus``.
 
     With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
     into ``min(workers, apps)`` shares: this process scans share 0, and one forked

@@ -78,7 +78,6 @@ class ClassDef:
     descriptor: str
     super_descriptor: str = ""
     methods: list[MethodDef] = field(default_factory=list)
-    source_file: str = ""
 
 
 @dataclass(slots=True)
@@ -130,7 +129,7 @@ def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) ->
     return m
 
 
-def parse_class(text: str, source_file: str = "") -> ClassDef:
+def parse_class(text: str) -> ClassDef:
     """Parse one smali class file into a ClassDef.
 
     Raises SmaliParseError carrying the offending line number.
@@ -201,7 +200,7 @@ def parse_class(text: str, source_file: str = "") -> ClassDef:
         )
     if descriptor is None:
         raise SmaliParseError("no .class directive found", 1)
-    return ClassDef(descriptor, super_descriptor, methods, source_file)
+    return ClassDef(descriptor, super_descriptor, methods)
 
 
 def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:
@@ -246,7 +245,7 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
         if "\r" in text:  # newlines as text mode reads them
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
-            cls = parse_class(text, source_file=rel)
+            cls = parse_class(text)
         except SmaliParseError as exc:
             diagnostics.append(f"{rel}: {exc}")
             continue

@@ -310,10 +310,7 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
             body.append(Invoke("static", MethodRef(co, cn, cp)))
         classes.setdefault(owner, []).append(MethodDef(MethodRef(owner, name, proto), body))
 
-    class_defs = [
-        ClassDef(owner, "Ljava/lang/Object;", methods, f"{owner}.smali")
-        for owner, methods in sorted(classes.items())
-    ]
+    class_defs = [ClassDef(owner, "Ljava/lang/Object;", methods) for owner, methods in sorted(classes.items())]
     return RandomInstance(AppModel("rand", class_defs), adjacency, kw_nodes, path_nodes, sink_nodes)
 
 

@@ -14,7 +14,7 @@ from storescan.callgraph import build_callgraph
 from storescan.detector import DetectorConfig, detect_app
 from storescan.report import scan_corpus
 from storescan.rules import MarkMemo, default_ruleset, mark_function, match_keyword
-from storescan.smali_ir import parse_class
+from storescan.smali_ir import Invoke, StringConst, parse_class
 
 from appgen import fixture_classes, planted_corpus, random_instance, render_class, write_corpus
 from conftest import cli_env, load_report_schema
@@ -105,14 +105,17 @@ def test_parser_roundtrip_and_seed_isolation():
     families = {"invoke": 0, "string": 0, "new": 0}
     kinds_seen = set()
     for fixture in fixtures:
-        first = parse_class(fixture.text, source_file="f.smali")
-        second = parse_class(render_class(first), source_file="f.smali")
+        first = parse_class(fixture.text)
+        second = parse_class(render_class(first))
         ok = ok and second == first
-        families["invoke"] += fixture.invokes
-        families["string"] += fixture.strings
+        body = [ins for m in first.methods for ins in m.body]
+        families["invoke"] += sum(isinstance(ins, Invoke) for ins in body)
+        families["string"] += sum(isinstance(ins, StringConst) for ins in body)
+        # The fixtures hold new-instance lines, and the parser makes no body item of them.
         families["new"] += fixture.new_instances
-        for m in first.methods:
-            kinds_seen.update(ins.kind for ins in m.body if hasattr(ins, "kind"))
+        lines = fixture.text.split("\n")
+        ok = ok and not any(lines[ins.source_line - 1].lstrip().startswith("new-instance") for ins in body)
+        kinds_seen.update(ins.kind for ins in body if isinstance(ins, Invoke))
     ok = ok and all(count > 0 for count in families.values())
     ok = ok and kinds_seen == {"virtual", "super", "direct", "static", "interface"}
     ok = ok and any("const-string/jumbo" in f.text for f in fixtures)

@@ -1,12 +1,14 @@
 import json
 import os
-import re
+import signal
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
+import storescan
 from storescan.detector import DetectorConfig
 
 from appgen import class_text, const_string_line, invoke_line, method_text
@@ -133,6 +135,51 @@ class TestExitCodes:
             assert error == "error: scan failed: RuntimeError: scan worker 1 failed: exit status 1"
         assert proc.stdout == "" and not out.exists()
 
+    def test_interrupt_prints_one_traceback(self, three_app_corpus, tmp_path):
+        # On two CPUs, this process and its worker each hold in their first app until
+        # Ctrl-C reaches the whole process group, as it does from a terminal. This
+        # process then takes a moment before it unwinds, which would give a worker
+        # that had caught the interrupt the time to print its own traceback.
+        script = (
+            "import os, sys, time\n"
+            "from storescan import report\n"
+            "from storescan.cli import main\n"
+            "cli_pid = os.getpid()\n"
+            "def hold(app_dir, app_id):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'wb').close()\n"
+            "    try:\n"
+            "        time.sleep(60)\n"
+            "    except KeyboardInterrupt:\n"
+            "        if os.getpid() == cli_pid:\n"
+            "            time.sleep(0.5)\n"
+            "        raise\n"
+            "report.parse_app_dir = hold\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "main(sys.argv[2:])\n"
+        )
+        held = tmp_path / "held"
+        held.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(held), "scan", str(three_app_corpus)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", env=cli_env(),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(os.listdir(held)) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.02)
+            assert len(os.listdir(held)) == 2
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert stderr.count("Traceback") == 1, stderr
+        assert stderr.rstrip().endswith("KeyboardInterrupt")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing is left of the process group
+
     def test_bad_format_exits_two(self, three_app_corpus, tmp_path):
         out = tmp_path / "report.json"
         proc = run_cli("scan", str(three_app_corpus), "--format", "xml", "--output", str(out))
@@ -242,10 +289,10 @@ class TestOutputs:
         assert "Call-chain depth bound. [default: 3;" in " ".join(scan_help.stdout.split())
 
     def test_version_exits_zero(self):
-        # Works from a source checkout too, where no package metadata exists.
+        # The same from a source checkout, where no package metadata exists.
         proc = run_cli("--version")
         assert proc.returncode == 0, proc.stderr
-        assert re.fullmatch(r"storescan, version (\S+|unknown \(not installed\))\n", proc.stdout)
+        assert proc.stdout == f"storescan, version {storescan.__version__}\n"
 
 
 class TestLoneSurrogates:

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from storescan.detector import DetectorConfig
-from storescan.report import emit_report, scan_corpus
+from storescan.report import scan_corpus, scan_report
 from storescan.smali_ir import ClassDef, Invoke, MethodDef, MethodRef
 
 from appgen import random_instance, render_class
@@ -61,11 +61,10 @@ def pair_corpus(tmp_path_factory):
 
 def _outputs(root, depth: int) -> dict[str, bytes]:
     """What ``storescan scan`` writes for --format json, --format text and --dump-callgraph."""
-    graphs = io.StringIO()
-    report = scan_corpus(root, DetectorConfig(depth=depth), graph_sink=graphs)
+    config, graphs = DetectorConfig(depth=depth), io.StringIO()
     return {
-        "json": emit_report(report, "json").encode(),
-        "text": emit_report(report, "text").encode(),
+        "json": b"".join(scan_report(root, config, "json", graphs, workers=1)[1]),
+        "text": b"".join(scan_report(root, config, "text", workers=1)[1]),
         "callgraph": graphs.getvalue().encode(),
     }
 

@@ -202,8 +202,15 @@ Lch/Main;->run()V\tLch/Help;->step1()V
 """
 
 
-def scan(root, depth=3, **kwargs):
-    return scan_corpus(root, DetectorConfig(depth=depth), **kwargs)
+def scan(root, depth=3):
+    return scan_corpus(root, DetectorConfig(depth=depth))
+
+
+def dump(root, depth=3) -> str:
+    """The ``--dump-callgraph`` text, which only ``scan_report`` writes."""
+    sink = io.StringIO()
+    scan_report(root, DetectorConfig(depth=depth), "text", sink, workers=1)
+    return sink.getvalue()
 
 
 @pytest.fixture
@@ -324,31 +331,28 @@ class TestScanCorpus:
 
         monkeypatch.setattr(report_module, "build_callgraph", counting_build)
         monkeypatch.setattr(detector_module, "build_callgraph", counting_build)
-        scan(three_app_corpus, graph_sink=io.StringIO())
+        dump(three_app_corpus)
         assert built == ["app_bad", "app_ok1", "app_ok2"]
         built.clear()
         scan(three_app_corpus)
         assert built == ["app_bad"]  # the clean apps' marks miss a category, so they cannot flag
 
     def test_graph_sink_receives_sorted_edges(self, three_app_corpus):
-        sink = io.StringIO()
-        scan(three_app_corpus, graph_sink=sink)
-        dump = sink.getvalue()
-        assert dump.count("# callgraph ") == 3
-        edge_lines = [l for l in dump.splitlines() if not l.startswith("#")]
+        text = dump(three_app_corpus)
+        assert text.count("# callgraph ") == 3
+        edge_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert all("\t" in l for l in edge_lines)
 
     def test_graph_sink_golden(self, chain_corpus):
-        sink = io.StringIO()
-        scan(chain_corpus, graph_sink=sink)
-        assert sink.getvalue() == GOLDEN_CALLGRAPH
+        assert dump(chain_corpus) == GOLDEN_CALLGRAPH
 
 
 def _scan_and_emit(root, depth=3):
     # Every locally built object, the report included, is dropped on return.
-    report = scan(root, depth, graph_sink=io.StringIO())
+    report = scan(root, depth)
     for fmt in ("json", "text"):
         emit_report(report, fmt)
+    dump(root, depth)
 
 
 def _scan_report_both(root, workers, depth=3):
@@ -418,7 +422,7 @@ class TestNoCycles:
         rng = random.Random(89)
         for i in range(6):
             for cls in random_instance(rng).app.classes:
-                path = tmp_path / f"rand{i}" / cls.source_file
+                path = tmp_path / f"rand{i}" / f"{cls.descriptor}.smali"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(render_class(cls), encoding="utf-8")
         assert sum(r.flagged for r in scan(tmp_path, 6).apps) >= 2
@@ -520,11 +524,11 @@ def _outputs(root, workers: int) -> tuple[Totals, bytes, bytes, str]:
 
 
 def _in_process(root) -> tuple[Totals, bytes, bytes, str]:
-    """The same four, from ``scan_corpus`` and ``emit_report``."""
-    sink = io.StringIO()
-    report = scan(root, graph_sink=sink)
+    """The same four, in one process: the reports from ``scan_corpus`` and
+    ``emit_report``, and the dump from ``scan_report``."""
+    report = scan(root)
     json_text, text = (emit_report(report, fmt).encode("utf-8", "backslashreplace") for fmt in ("json", "text"))
-    return report.totals, json_text, text, sink.getvalue()
+    return report.totals, json_text, text, dump(root)
 
 
 def assert_no_child_left() -> None:
@@ -534,8 +538,8 @@ def assert_no_child_left() -> None:
 
 class TestWorkers:
     """``scan_report(..., workers=w)`` forks ``w - 1`` workers; whatever ``w``, the
-    reports and the call-graph dump are the bytes that ``scan_corpus`` and
-    ``emit_report`` give in one process."""
+    reports are the bytes that ``scan_corpus`` and ``emit_report`` give, and the
+    call-graph dump the bytes that ``scan_report`` writes in one process."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_every_path_corpus_same_bytes(self, every_path_corpus, workers):

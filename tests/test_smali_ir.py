@@ -196,8 +196,7 @@ class TestParseClass:
         assert source_lines(rich) == [17, 19]
 
     def test_metadata_retained_verbatim(self):
-        # Of the lines outside methods only .super is kept, as written; .source
-        # does not stand in for the file the class was read from.
+        # Of the lines outside methods only .super is kept, as written.
         text = (
             ".class Lcom/a/B;\n"
             ".super Lcom/a/Base$Inner;\n"
@@ -206,9 +205,7 @@ class TestParseClass:
             ".field private x:I\n"
             "# a comment\n"
         )
-        cls = parse_class(text, source_file="com/a/B.smali")
-        assert cls == ClassDef("Lcom/a/B;", "Lcom/a/Base$Inner;", [], "com/a/B.smali")
-        assert cls.source_file == "com/a/B.smali"
+        assert parse_class(text) == ClassDef("Lcom/a/B;", "Lcom/a/Base$Inner;", [])
 
     # Diagnostics are report bytes ("rel: message"), so their full text is pinned.
 
@@ -270,10 +267,9 @@ class TestParseClass:
 
     def test_owner_is_set_from_class(self):
         text = class_text("Lcom/a/B;", methods=[method_text("f", body=[])])
-        cls = parse_class(text, source_file="com/a/B.smali")
+        cls = parse_class(text)
         assert cls.methods[0].key.class_descriptor == "Lcom/a/B;"
         assert cls.methods[0].key == ("Lcom/a/B;", "f", "()V")
-        assert cls.source_file == "com/a/B.smali"
 
 
 _TOKENS = ["L", "a", "b/c", "$", ";", "->", "-", ">", "(", ")", "V", "I", " ", "\t"]
@@ -441,8 +437,8 @@ class TestRenderRoundTrip:
 
     def test_roundtrip_fixture_corpus(self):
         for fixture in fixture_classes():
-            first = parse_class(fixture.text, source_file="x.smali")
-            second = parse_class(render_class(first), source_file="x.smali")
+            first = parse_class(fixture.text)
+            second = parse_class(render_class(first))
             assert second == first
 
     def test_synthetic_instructions_render(self):
@@ -483,12 +479,12 @@ class TestParseAppDir:
         assert diags == []
 
     def test_two_classes_path_sorted(self, tmp_path):
+        # "B.smali" sorts before "b/A.smali", so path order is not descriptor order.
         (tmp_path / "b").mkdir()
-        (tmp_path / "b" / "B.smali").write_text(class_text("Lx/B;"), encoding="utf-8")
-        (tmp_path / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        (tmp_path / "b" / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
+        (tmp_path / "B.smali").write_text(class_text("Lx/B;"), encoding="utf-8")
         app, diags = parse_app_dir(tmp_path, "two")
-        assert [c.descriptor for c in app.classes] == ["Lx/A;", "Lx/B;"]
-        assert [c.source_file for c in app.classes] == ["A.smali", "b/B.smali"]
+        assert [c.descriptor for c in app.classes] == ["Lx/B;", "Lx/A;"]
         assert diags == []
 
     @pytest.mark.parametrize(
@@ -522,7 +518,7 @@ class TestParseAppDir:
         (tmp_path / "A.smali").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         app, diags = parse_app_dir(tmp_path, "bom")
         assert diags == []
-        assert app.classes == [parse_class(text, source_file="A.smali")]
+        assert app.classes == [parse_class(text)]
 
     def test_crlf_matches_lf_twin(self, tmp_path):
         text = class_text(
@@ -581,7 +577,7 @@ class TestParseAppDir:
         (tmp_path / "smali" / "A.smali").write_text(class_text("Lx/A;"), encoding="utf-8")
         (tmp_path / "smali" / "loop").symlink_to(tmp_path, target_is_directory=True)
         app, diags = parse_app_dir(tmp_path, "loop")
-        assert [c.source_file for c in app.classes] == ["smali/A.smali"]
+        assert [c.descriptor for c in app.classes] == ["Lx/A;"]
         assert diags == []
 
     @pytest.mark.parametrize("as_root", [Path, str, lambda p: f"{p}/"], ids=["path", "str", "trailing-slash"])
@@ -600,13 +596,8 @@ class TestParseAppDir:
         (app / "broken.smali").symlink_to(tmp_path / "nowhere")
         (app / "linkdir").symlink_to(outside, target_is_directory=True)  # not descended
         model, diags = parse_app_dir(as_root(app), "app")
-        assert [(c.source_file, c.descriptor) for c in model.classes] == [
-            (".hidden/B.smali", "Lx/B;"),
-            ("A.smali", "Lx/A;"),
-            ("dir.smali/D.smali", "Lx/D;"),
-            ("link.smali", "Lx/E;"),
-            ("x/y/z/C.smali", "Lx/C;"),
-        ]
+        # In path order: .hidden/B, A, dir.smali/D, link (to E.txt), x/y/z/C.
+        assert [c.descriptor for c in model.classes] == ["Lx/B;", "Lx/A;", "Lx/D;", "Lx/E;", "Lx/C;"]
         assert diags == [
             "broken.smali: unreadable: [Errno 2] No such file or directory",
             "dir.smali: unreadable: [Errno 21] Is a directory",
@@ -630,7 +621,7 @@ class TestParseAppDir:
 
         monkeypatch.setattr(os, "scandir", scandir)
         app, diags = parse_app_dir(as_root(tmp_path), "locked")
-        assert [c.source_file for c in app.classes] == ["A.smali", "a/open/C.smali"]
+        assert [c.descriptor for c in app.classes] == ["Lx/A;", "Lx/C;"]
         assert diags == [
             "a/locked: unreadable: [Errno 13] Permission denied",
             "z/locked: unreadable: [Errno 13] Permission denied",
@@ -647,7 +638,7 @@ class TestParseAppDir:
             app, diags = parse_app_dir(tmp_path, "locked")
         finally:
             (tmp_path / "sub").chmod(0o755)
-        assert [c.source_file for c in app.classes] == ["A.smali"]
+        assert [c.descriptor for c in app.classes] == ["Lx/A;"]
         assert diags == ["sub: unreadable: [Errno 13] Permission denied"]
 
     def test_megabyte_const_string_kept_intact(self, tmp_path):
