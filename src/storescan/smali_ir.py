@@ -8,6 +8,11 @@ the structure they must have. Everything else is read past: flags, fields,
 annotations, comments and every other instruction, ``new-instance`` among
 them.
 
+``parse_app_dir`` gives the files of one app one memo: each distinct
+``invoke-*`` or ``const-string`` line is matched once per app, and each method
+identity is one ``MethodRef`` object, shared by every call to it and by its
+``.method`` key. A line that fails its grammar is not stored.
+
 String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
 or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
 it stands.
@@ -40,7 +45,8 @@ class DuplicateClassError(Exception):
 
 class MethodRef(NamedTuple):
     """Identity of a method: owner descriptor, method name, smali proto. Invoke
-    targets are ``MethodRef``s, and each ``MethodDef`` holds its own as ``key``."""
+    targets are ``MethodRef``s, and each ``MethodDef`` holds its own as ``key``.
+    Within one app, equal ``MethodRef``s are one object."""
 
     class_descriptor: str
     name: str
@@ -129,11 +135,15 @@ def _parse_header(stripped: str, lineno: int, grammar: re.Pattern, what: str) ->
     return m
 
 
-def parse_class(text: str) -> ClassDef:
+def parse_class(text: str, memo: dict | None = None) -> ClassDef:
     """Parse one smali class file into a ClassDef.
 
-    Raises SmaliParseError carrying the offending line number.
+    ``memo`` is the app's memo (see ``parse_app_dir``); a fresh one when
+    omitted. Raises SmaliParseError carrying the offending line number.
     """
+    if memo is None:
+        memo = {}
+    canonical = memo.setdefault
     descriptor: str | None = None
     super_descriptor = ""
     methods: list[MethodDef] = []
@@ -147,16 +157,22 @@ def parse_class(text: str) -> ClassDef:
         if cur is not None:
             # Dispatch on the first character. Most body lines start with none of "i"
             # (invoke-), "c" (const-string) or "." (directive) and add nothing to the
-            # body, as does a line that fails its family's grammar.
+            # body, as does a line that fails its family's grammar. Only lines that
+            # parse enter the memo: if-*, iget, const/4 and the like would bloat it.
             first = stripped[:1]
             if first == "i":
-                m = _INVOKE_RE.match(stripped)
-                if m:
-                    body.append(Invoke(m[1], MethodRef._make(m.group(2, 3, 4)), lineno))
+                hit = memo.get(stripped)
+                if hit is None and (m := _INVOKE_RE.match(stripped)):
+                    ref = MethodRef._make(m.group(2, 3, 4))
+                    hit = memo[stripped] = (m[1], canonical(ref, ref))
+                if hit is not None:
+                    body.append(Invoke(hit[0], hit[1], lineno))
             elif first == "c":
-                m = _CONST_STRING_RE.match(stripped)
-                if m:
-                    body.append(StringConst(_unescape_string(m[1]), lineno))
+                value = memo.get(stripped)
+                if value is None and (m := _CONST_STRING_RE.match(stripped)):
+                    value = memo[stripped] = _unescape_string(m[1])
+                if value is not None:
+                    body.append(StringConst(value, lineno))
             elif first == ".":
                 if stripped == ".end method":
                     methods.append(cur)
@@ -186,6 +202,7 @@ def parse_class(text: str) -> ClassDef:
                 raise SmaliParseError(".method before .class", lineno)
             m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
             key = MethodRef(descriptor, *m.groups())
+            key = canonical(key, key)
             if key in seen_methods:
                 raise SmaliParseError(f"duplicate method {key.name}{key.proto}", lineno)
             seen_methods.add(key)
@@ -216,6 +233,10 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     read or parse, are skipped and reported in the returned diagnostics by that
     path. Raises DuplicateClassError when two files declare the same descriptor,
     and the OS's own OSError when root is missing, not a directory or unreadable.
+
+    Every ``parse_class`` call for the app shares one memo, dropped on return:
+    it maps each parsed instruction line to its kind and target or its string,
+    and each ``MethodRef`` to the app's one object for that identity.
     """
     top = os.fspath(root)
     cut = len(os.path.join(top, ""))  # os.walk names each entry os.path.join(dirpath, name)
@@ -235,6 +256,7 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
     files.sort()
     classes: list[ClassDef] = []
     seen: dict[str, str] = {}
+    memo: dict = {}
     for rel, path in files:
         try:
             with open(path, "rb", buffering=0) as f:
@@ -245,7 +267,7 @@ def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
         if "\r" in text:  # newlines as text mode reads them
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
-            cls = parse_class(text)
+            cls = parse_class(text, memo)
         except SmaliParseError as exc:
             diagnostics.append(f"{rel}: {exc}")
             continue

@@ -1,6 +1,7 @@
 import errno
 import operator
 import os
+import random
 import re
 import string
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from storescan import smali_ir
 from storescan.detector import DetectorConfig
 from storescan.report import scan_corpus
 from storescan.smali_ir import (
@@ -25,7 +27,15 @@ from storescan.smali_ir import (
     parse_class,
 )
 
-from appgen import class_text, fixture_classes, method_text, render_class
+from appgen import (
+    class_text,
+    const_string_line,
+    fixture_classes,
+    invoke_line,
+    method_text,
+    random_instance,
+    render_class,
+)
 from oracle import invoke_oracle
 
 
@@ -674,3 +684,119 @@ class TestParseAppDir:
         first, _ = parse_app_dir(tmp_path, "det")
         second, _ = parse_app_dir(tmp_path, "det")
         assert first == second
+
+
+# Lines that start like an interpreted family but fail its grammar, and lines
+# that parse, repeated within and across files at different line numbers.
+FAILING_LINES = [
+    "if-eqz v0, :cond_0",
+    "const/4 v0, 0x1",
+    "invoke-virtual {v0}, Lx/A;->broken",
+    "invoke-custom {v0}, call_site_0(Ljava/lang/String;)V",
+    "iget v0, p0, Lx/A;->f:I",
+    "check-cast v0, Ljava/lang/String;",
+    "cmp-long v0, v1, v2",
+    "const-string v0, unquoted",
+]
+REPEATED_LINES = [
+    invoke_line("static", "Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"),
+    invoke_line("static", "Lnoise/N0;", "f", "()V", "{v0}"),
+    const_string_line('tab\\there \\"q\\" \\u00e9'),
+    const_string_line("/sdcard/backup"),
+]
+
+
+def noise_classes() -> dict[str, str]:
+    """Two classes, both calling ``Lnoise/N0;->f()V``, that repeat
+    ``REPEATED_LINES`` after ``FAILING_LINES``, at line numbers that differ
+    between the files."""
+    body = ["    .locals 3", *("    " + line for line in FAILING_LINES), *REPEATED_LINES, *REPEATED_LINES]
+    files = {}
+    for i in range(2):
+        methods = [method_text("f", body=body), method_text("g", body=REPEATED_LINES[::-1])]
+        metadata = [f".field private x{j}:I" for j in range(3 * i)]
+        files[f"noise/N{i}.smali"] = class_text(f"Lnoise/N{i};", methods=methods, metadata=metadata)
+    return files
+
+
+def method_refs(app: AppModel) -> list[MethodRef]:
+    return [ref for c in app.classes for m in c.methods
+            for ref in (m.key, *(ins.target for ins in m.body if isinstance(ins, Invoke)))]
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """The memo of every ``parse_class`` call ``parse_app_dir`` makes."""
+    seen = []
+
+    def spy(text, memo):
+        seen.append(memo)
+        return parse_class(text, memo)
+
+    monkeypatch.setattr(smali_ir, "parse_class", spy)
+    return seen
+
+
+class TestAppMemo:
+    def test_one_methodref_per_identity_across_files(self, tmp_path):
+        g = invoke_line("static", "Lx/B;", "g", "()V")
+        (tmp_path / "A.smali").write_text(
+            class_text("Lx/A;", methods=[method_text("f", body=[g, "    nop", g]), method_text("h", body=[g])]),
+            encoding="utf-8",
+        )
+        (tmp_path / "B.smali").write_text(
+            class_text("Lx/B;", methods=[method_text("g"), method_text("k", body=[g])]), encoding="utf-8"
+        )
+        app, diags = parse_app_dir(tmp_path, "app")
+        assert diags == []
+        a, b = app.classes
+        targets = [ins.target for m in (*a.methods, b.methods[1]) for ins in m.body]
+        assert len(targets) == 4 and targets[0] == MethodRef("Lx/B;", "g", "()V")
+        assert all(t is b.methods[0].key for t in targets)
+
+    def test_two_apps_share_no_methodref(self, tmp_path):
+        for app_id in ("one", "two"):
+            for rel, text in noise_classes().items():
+                (tmp_path / app_id / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / app_id / rel).write_text(text, encoding="utf-8")
+        one, _ = parse_app_dir(tmp_path / "one", "one")
+        two, _ = parse_app_dir(tmp_path / "two", "two")
+        assert method_refs(one) == method_refs(two)
+        assert {id(r) for r in method_refs(one)}.isdisjoint(id(r) for r in method_refs(two))
+
+    def test_standalone_parse_class_uses_a_fresh_memo(self):
+        text = noise_classes()["noise/N0.smali"]
+        first, second = parse_class(text), parse_class(text)
+        assert first == second
+        f, g = first.methods
+        assert f.body[1].target is f.body[5].target is g.body[-2].target is f.key
+        assert f.key is not second.methods[0].key
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_parsing_each_file_alone(self, tmp_path, memos, seed):
+        if seed == 0:
+            files = {f"fix/F{i}.smali": fixture.text for i, fixture in enumerate(fixture_classes())}
+        else:
+            app = random_instance(random.Random(seed)).app
+            files = {f"{c.descriptor[1:-1]}.smali": render_class(c) for c in app.classes}
+        files.update(noise_classes())
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+
+        model, diags = parse_app_dir(tmp_path, "app")
+        alone = [parse_class(files[rel]) for rel in sorted(files)]
+        assert diags == [] and model == AppModel("app", alone)
+
+        def lines(classes):
+            return [(ins.source_line, ins) for c in classes for m in c.methods for ins in m.body]
+
+        assert lines(model.classes) == lines(alone)  # source_line is compare=False
+        # One memo for the whole app, keyed by exactly the lines that parsed.
+        assert len(memos) == len(files) and all(memo is memos[0] for memo in memos)
+        memo = memos[0]
+        parsed = {files[rel].split("\n")[ins.source_line - 1].strip()
+                  for rel, c in zip(sorted(files), alone) for m in c.methods for ins in m.body}
+        assert {key for key in memo if isinstance(key, str)} == parsed
+        assert parsed.isdisjoint(FAILING_LINES)
+        assert all(memo[ref] is ref for ref in method_refs(model))
