@@ -25,8 +25,6 @@ per app and shared by every finding that reports it; the rows live for one
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 from .callgraph import CallGraph, build_callgraph
@@ -40,17 +38,20 @@ from .rules import (
     default_ruleset,
     mark_function,
 )
-from .smali_ir import AppModel, MethodRef
+from .smali_ir import AppModel, MethodRef, Record
 
 
-@dataclass
-class DetectorConfig:
-    depth: int = 3
-    rules: RuleSet = field(default_factory=default_ruleset)
+class DetectorConfig(Record):
+    """``rules`` defaults to a fresh ``default_ruleset()``. ``depth`` reads 3 on the
+    class, the CLI's default, so a config keeps its fields in a ``__dict__``, not slots."""
 
-    def __post_init__(self):
-        if self.depth < 1:
+    _fields = ("depth", "rules")
+    depth = 3
+
+    def __init__(self, depth: int = depth, rules: RuleSet | None = None):
+        if depth < 1:
             raise ValueError("depth must be >= 1")
+        self.depth, self.rules = depth, default_ruleset() if rules is None else rules
 
 
 class Evidence(NamedTuple):
@@ -70,19 +71,20 @@ class ConditionSet(NamedTuple):
     write_sink: list[Evidence]
 
 
-@dataclass
-class Finding:
-    seed: MethodRef
-    conditions: ConditionSet
-    #: category -> witness chain (see the module docstring).
-    witness_chains: dict[str, list[MethodRef]]
+class Finding(Record):
+    # witness_chains maps each category to its witness chain (see the module docstring).
+    __slots__ = _fields = ("seed", "conditions", "witness_chains")
+
+    def __init__(self, seed: MethodRef, conditions: ConditionSet, witness_chains: dict[str, list[MethodRef]]):
+        self.seed, self.conditions, self.witness_chains = seed, conditions, witness_chains
 
 
-@dataclass
-class DetectionResult:
-    app_id: str
-    findings: list[Finding] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+class DetectionResult(Record):
+    __slots__ = _fields = ("app_id", "findings", "diagnostics")
+
+    def __init__(self, app_id: str, findings: list[Finding] | None = None, diagnostics: list[str] | None = None):
+        self.app_id, self.findings = app_id, [] if findings is None else findings
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def flagged(self) -> bool:
@@ -158,7 +160,7 @@ def detect_app(
         s = ids[seed]
         parent[s] = s
         ring, reached = [s], [s]
-        found: list[ConditionSet] = []
+        keyword, path_source, write_sink = conditions = ConditionSet([], [], [])
         for d in range(config.depth):
             if d:
                 nxt = []
@@ -179,11 +181,12 @@ def detect_app(
                     ev = built[node] = ConditionSet._make(
                         [Evidence(ref, h, d) for h in hits] for hits in marked[node]
                     )
-                found.append(ev)
-        conditions = ConditionSet._make(list(chain.from_iterable(category)) for category in zip(*found))
+                keyword += ev.keyword
+                path_source += ev.path_source
+                write_sink += ev.write_sink
         # A category's first row is its closest method, ties broken lexically.
         chains = {}
-        for category, evidence in conditions._asdict().items():
+        for category, evidence in zip(ConditionSet._fields, conditions):
             path, node = [], ids[evidence[0].method]
             while node != s:
                 path.append(nodes[node])

@@ -14,16 +14,13 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from itertools import chain, repeat
-from pathlib import Path
 from typing import NamedTuple, NoReturn, TextIO
 
 from .callgraph import build_callgraph, edge_list_text
 from .detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, detect_app
 from .rules import KeywordHit, PathSourceHit, ruleset_digest
-from .smali_ir import DuplicateClassError, _escape_string, parse_app_dir, unreadable_reason
+from .smali_ir import DuplicateClassError, Record, _escape_string, parse_app_dir, unreadable_reason
 
 SCHEMA_VERSION = "1"
 SCHEMA_FILENAME = "report_schema.json"
@@ -31,6 +28,8 @@ SCHEMA_FILENAME = "report_schema.json"
 
 def load_report_schema() -> dict:
     """The JSON schema the ``json`` report format conforms to."""
+    from importlib import resources  # only here: it imports more than a scan does
+
     text = resources.files(__package__).joinpath(SCHEMA_FILENAME).read_text(encoding="utf-8")
     return json.loads(text)
 
@@ -41,10 +40,11 @@ class Totals(NamedTuple):
     parse_diagnostics: int
 
 
-@dataclass
-class CorpusReport:
-    config: DetectorConfig
-    apps: list[DetectionResult]
+class CorpusReport(Record):
+    __slots__ = _fields = ("config", "apps")
+
+    def __init__(self, config: DetectorConfig, apps: list[DetectionResult]):
+        self.config, self.apps = config, apps
 
     @property
     def totals(self) -> Totals:
@@ -85,13 +85,13 @@ def _scan_app(app_id: str, app_dir: str, config: DetectorConfig, dump: bool) -> 
     return result, (f"# callgraph {app_id}\n" + edge_list_text(graph) if dump else None)
 
 
-def _app_dirs(root: str | Path) -> list[tuple[str, str]]:
+def _app_dirs(root: str | os.PathLike) -> list[tuple[str, str]]:
     with os.scandir(root) as entries:
         return sorted((e.name, e.path) for e in entries if e.is_dir())
 
 
 @_collector_paused
-def scan_corpus(root: str | Path, config: DetectorConfig) -> CorpusReport:
+def scan_corpus(root: str | os.PathLike, config: DetectorConfig) -> CorpusReport:
     """Scan a corpus directory, one immediate subdirectory per app, in this process.
 
     Per-app failures (unreadable directory, duplicate class declarations)
@@ -101,21 +101,26 @@ def scan_corpus(root: str | Path, config: DetectorConfig) -> CorpusReport:
     return CorpusReport(config, [_scan_app(*a, config, False)[0] for a in _app_dirs(root)])
 
 
+_CHUNK = 4096  # pieces of an app's part joined and encoded at a time: see _scan_share
+
+
 def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool,
-                first: bool) -> list[tuple[bool, int, bytes, str | None]]:
+                first: bool) -> list[tuple[bool, int, list[bytes], str | None]]:
     """Per app of ``apps``: flagged, its diagnostic count, its part of the report,
     rendered by ``put`` as soon as it is scanned, and its call graph text when
-    ``dump``. ``first`` when the share holds the corpus's first app."""
+    ``dump``. ``first`` when the share holds the corpus's first app. A large app's
+    part has hundreds of thousands of pieces; it is encoded ``_CHUNK`` pieces at a
+    time, into a list of chunks, so no process holds it as one str and its bytes."""
     frames = []
     for app_id, app_dir in apps:
         result, graph = _scan_app(app_id, app_dir, config, dump)
         out: list[str] = []
         put(out, result, first and not frames)
-        text = "".join(out)
-        out.clear()  # before the encoded copy: a large app has hundreds of thousands of pieces
-        # A lone surrogate (an unpaired dex string escape, or an app directory name
-        # that is not UTF-8) goes out as \uXXXX, the same bytes in any locale.
-        frames.append((result.flagged, len(result.diagnostics), text.encode("utf-8", "backslashreplace"), graph))
+        # A lone surrogate (an unpaired dex string escape, or an app directory name that is not
+        # UTF-8) lies inside one piece, and goes out as \uXXXX, the same bytes in any locale.
+        part = ["".join(out[i:i + _CHUNK]).encode("utf-8", "backslashreplace") for i in range(0, len(out), _CHUNK)]
+        out.clear()
+        frames.append((result.flagged, len(result.diagnostics), part, graph))
     return frames
 
 
@@ -145,7 +150,7 @@ def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool
 
 @_collector_paused
 def scan_report(
-    root: str | Path,
+    root: str | os.PathLike,
     config: DetectorConfig,
     fmt: str,
     graph_sink: TextIO | None = None,
@@ -153,10 +158,10 @@ def scan_report(
     workers: int = 1,
 ) -> tuple[Totals, list[bytes]]:
     """What ``storescan scan`` writes: the totals, and the report in format ``fmt``
-    as UTF-8 pieces (header, one part per app in app order, closing) whose
-    concatenation is ``emit_report(scan_corpus(root, config), fmt)`` encoded with
-    ``backslashreplace``. Each app's call graph goes to ``graph_sink``, if given, as
-    a deterministic edge list, in app order. The errors are as for ``scan_corpus``.
+    as UTF-8 chunks (the header, each app's part in app order in one or more chunks,
+    the closing) whose concatenation is ``emit_report(scan_corpus(root, config), fmt)``
+    encoded with ``backslashreplace``. Each app's call graph goes to ``graph_sink``, if
+    given, as a deterministic edge list, in app order. The errors are as for ``scan_corpus``.
 
     With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
     into ``min(workers, apps)`` shares: this process scans share 0, and one forked
@@ -204,7 +209,7 @@ def scan_report(
         graph_sink.writelines(f[3] for f in frames if f[3])
     totals = Totals(len(frames), sum(f[0] for f in frames), sum(f[1] for f in frames))
     head, tail = _frame(fmt, config, totals)
-    return totals, [head.encode(), *(f[2] for f in frames), tail.encode()]
+    return totals, [head.encode(), *chain.from_iterable(f[2] for f in frames), tail.encode()]
 
 
 # The JSON writer fills literal-indent templates, byte for byte as json.dumps(tree, indent=2,
@@ -268,9 +273,9 @@ def _put_json_app(out: list[str], r: DetectionResult, first: bool) -> None:
             ',\n      "flagged": ', "true" if r.flagged else "false", ',\n      "diagnostics": ')
     _put_list(out, list(map(_str, r.diagnostics)), "      ")
     out.append(',\n      "findings": ')
-    # Seeds share evidence rows (see ``detect_app``), so each is rendered once. ``r``
-    # keeps every row alive while it is rendered, so a row's id is a key, and cheaper
-    # than its hash.
+    # Seeds share evidence rows (see ``detect_app``) and witness-chain methods, so each
+    # is rendered once. ``r`` keeps every row and method alive while it is rendered, so
+    # an object's id is a key, unique among them, and cheaper than its hash.
     rendered: dict[int, str] = {}
     get, put = rendered.get, rendered.setdefault
     for i, f in enumerate(r.findings):
@@ -279,7 +284,8 @@ def _put_json_app(out: list[str], r: DetectionResult, first: bool) -> None:
         _put_dict(out, [(c, [get(id(e)) or put(id(e), _json_row(e)) for e in ev])
                         for c, ev in zip(ConditionSet._fields, f.conditions)], "          ")
         out.append(',\n          "witness_chains": ')
-        _put_dict(out, [(c, [_str(str(k)) for k in path]) for c, path in f.witness_chains.items()], "          ")
+        _put_dict(out, [(c, [get(id(k)) or put(id(k), _str(str(k))) for k in path])
+                        for c, path in f.witness_chains.items()], "          ")
         out.append("\n        }")
     out.append("\n      ]\n    }" if r.findings else "[]\n    }")
 

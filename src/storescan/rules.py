@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
-from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
 from typing import NamedTuple
 
-from .smali_ir import Invoke, MethodDef, MethodRef, StringConst
+from .smali_ir import Invoke, MethodDef, MethodRef, Record, StringConst
 
 DEFAULT_KEYWORDS = [
     "log",
@@ -54,19 +53,18 @@ class RuleFormatError(ValueError):
     """A ruleset file or ruleset value violates the format contract."""
 
 
-@dataclass
-class RuleSet:
+class RuleSet(Record):
     """The three criterion vocabularies. Immutable by convention after load.
     Each field is one ruleset-file section of the same name, in file order."""
 
-    keywords: list[str]
-    path_apis: list[str]
-    hardcoded_paths: list[str]
-    write_sinks: list[tuple[str, str]]
+    __slots__ = _fields = ("keywords", "path_apis", "hardcoded_paths", "write_sinks")
 
-    def __post_init__(self):
+    def __init__(self, keywords: list[str], path_apis: list[str], hardcoded_paths: list[str],
+                 write_sinks: list[tuple[str, str]]):
+        self.keywords, self.path_apis = keywords, path_apis
+        self.hardcoded_paths, self.write_sinks = hardcoded_paths, write_sinks
         # A fixed check order gives a ruleset with several faults one stable message.
-        for section in (f.name for f in fields(self)):
+        for section in self._fields:
             entries = getattr(self, section)
             if section == "write_sinks":
                 if any(kw != kw.lower() for kw in self.keywords):
@@ -187,15 +185,16 @@ def mark_function(m: MethodDef, memo: MarkMemo) -> MarkSet:
     return hits
 
 
-def load_ruleset(file: str | Path) -> RuleSet:
+def load_ruleset(file: str | os.PathLike) -> RuleSet:
     """Load a ruleset file; sections not present inherit the defaults.
 
     Format: ``[section]`` headers named after ``RuleSet``'s fields, one entry
     per line, ``#`` starts a comment line; a leading BOM is skipped.
     Write-sink entries are ``Lpkg/Cls;::methodName``.
     """
-    text = Path(file).read_text(encoding="utf-8-sig")
-    names = {f.name for f in fields(RuleSet)}
+    with open(file, encoding="utf-8-sig") as f:
+        text = f.read()
+    names = RuleSet._fields
     sections: dict[str, list[str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.split("\n"), 1):
@@ -217,7 +216,8 @@ def load_ruleset(file: str | Path) -> RuleSet:
 
     if "write_sinks" in sections:
         sections["write_sinks"] = [_parse_sink_entry(e) for e in sections["write_sinks"]]
-    return replace(default_ruleset(), **sections)
+    defaults = default_ruleset()
+    return RuleSet(**{name: sections.get(name, getattr(defaults, name)) for name in names})
 
 
 def _parse_sink_entry(entry: str) -> tuple[str, str]:
@@ -229,5 +229,5 @@ def _parse_sink_entry(entry: str) -> tuple[str, str]:
 
 def ruleset_digest(rules: RuleSet) -> str:
     """Stable sha256 over the effective ruleset, for report attribution."""
-    text = json.dumps(asdict(rules), sort_keys=True, separators=(",", ":"))
+    text = json.dumps({n: getattr(rules, n) for n in rules._fields}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

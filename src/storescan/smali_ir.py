@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 SMALI_EXTENSION = ".smali"
@@ -56,42 +54,64 @@ class MethodRef(NamedTuple):
         return f"{self.class_descriptor}->{self.name}{self.proto}"
 
 
-# source_line is provenance for rule hits, excluded from equality so that
-# structural comparison survives re-rendering.
+class Record:
+    """Base of the model and result records. ``_fields`` names a record's fields
+    in order. Records of one type are equal when the fields ``_compared`` names,
+    by default all, are; a record is mutable, so unhashable."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self._compared or self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
-@dataclass(slots=True)
-class Invoke:
-    kind: str  # virtual | super | direct | static | interface
-    target: MethodRef
-    source_line: int = field(default=0, compare=False)
+class Invoke(Record):
+    """``kind`` is virtual, super, direct, static or interface. ``source_line``, here and in
+    ``StringConst``, is provenance for rule hits, left out of equality with re-rendering in mind."""
+
+    __slots__ = _fields = ("kind", "target", "source_line")
+    _compared = _fields[:2]
+
+    def __init__(self, kind: str, target: MethodRef, source_line: int = 0):
+        self.kind, self.target, self.source_line = kind, target, source_line
 
 
-@dataclass(slots=True)
-class StringConst:
-    value: str
-    source_line: int = field(default=0, compare=False)
+class StringConst(Record):
+    __slots__ = _fields = ("value", "source_line")
+    _compared = _fields[:1]
+
+    def __init__(self, value: str, source_line: int = 0):
+        self.value, self.source_line = value, source_line
 
 
-@dataclass(slots=True)
-class MethodDef:
-    key: MethodRef
-    body: list[Invoke | StringConst] = field(default_factory=list)
+class MethodDef(Record):
+    __slots__ = _fields = ("key", "body")
+
+    def __init__(self, key: MethodRef, body: list[Invoke | StringConst] | None = None):
+        self.key, self.body = key, [] if body is None else body
 
 
-@dataclass(slots=True)
-class ClassDef:
-    descriptor: str
-    super_descriptor: str = ""
-    methods: list[MethodDef] = field(default_factory=list)
+class ClassDef(Record):
+    __slots__ = _fields = ("descriptor", "super_descriptor", "methods")
+
+    def __init__(self, descriptor: str, super_descriptor: str = "", methods: list[MethodDef] | None = None):
+        self.descriptor, self.super_descriptor = descriptor, super_descriptor
+        self.methods = [] if methods is None else methods
 
 
-@dataclass(slots=True)
-class AppModel:
+class AppModel(Record):
     """One app's parsed classes; ``app_id`` is corpus-unique."""
 
-    app_id: str
-    classes: list[ClassDef] = field(default_factory=list)
+    __slots__ = _fields = ("app_id", "classes")
+
+    def __init__(self, app_id: str, classes: list[ClassDef] | None = None):
+        self.app_id, self.classes = app_id, [] if classes is None else classes
 
 
 _CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
@@ -226,7 +246,7 @@ def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:
     return "unreadable: " + str(OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc)
 
 
-def parse_app_dir(root: str | Path, app_id: str) -> tuple[AppModel, list[str]]:
+def parse_app_dir(root: str | os.PathLike, app_id: str) -> tuple[AppModel, list[str]]:
     """Parse every ``*.smali`` entry under ``root``, not descending symlinked
     directories, into an AppModel whose classes are ordered by POSIX path relative
     to ``root``. Subdirectories that cannot be listed, then files that fail to

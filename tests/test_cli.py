@@ -208,6 +208,26 @@ def test_needs_only_the_standard_library(tmp_path):
     assert json.loads(proc.stdout)["totals"]["apps_scanned"] == 0
 
 
+def test_start_up_imports_only_what_a_scan_runs(tmp_path):
+    # -S: site imports nothing, so a module the scan does not need shows as loaded
+    # only if storescan imports it.
+    script = (
+        "import sys\n"
+        "from storescan.cli import main\n"
+        "try:\n"
+        "    main(['scan', sys.argv[1]])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "unused = ['dataclasses', 'inspect', 'importlib.resources', 'pathlib']\n"
+        "print(sorted(name for name in unused if name in sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(tmp_path)], capture_output=True, encoding="utf-8", env=cli_env()
+    )
+    assert proc.stderr.splitlines()[-1:] == ["[]"], proc.stderr
+    assert json.loads(proc.stdout)["totals"]["apps_scanned"] == 0
+
+
 class TestOutputs:
     def test_json_stdout_validates(self, three_app_corpus):
         proc = run_cli("scan", str(three_app_corpus))

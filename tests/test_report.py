@@ -562,18 +562,40 @@ class TestWorkers:
         assert_no_child_left()
 
     def test_workers_send_rendered_parts(self, chain_corpus, monkeypatch):
-        # A worker pickles one (flagged, diagnostic count, part, edge text) frame per app;
-        # a failed check in the forked worker fails its exit status, and so the scan.
+        # A worker pickles one (flagged, diagnostic count, part, edge text) frame per app,
+        # the part a list of encoded chunks; a failed check in the forked worker fails
+        # its exit status, and so the scan.
         import pickle
 
         dump = pickle.dump
 
         def checked_dump(frames, file, protocol):
             edge_text = type(frames[0][3])  # str with a graph sink, else None
-            assert [tuple(map(type, f)) for f in frames] == [(bool, int, bytes, edge_text)] * 2
+            assert [tuple(map(type, f)) for f in frames] == [(bool, int, list, edge_text)] * 2
+            assert all(type(chunk) is bytes for f in frames for chunk in f[2])
             dump(frames, file, protocol)
 
         monkeypatch.setattr(pickle, "dump", checked_dump)
+        assert _outputs(chain_corpus, 2) == _in_process(chain_corpus)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_part_in_chunks_keeps_lone_surrogates_whole(self, chain_corpus, monkeypatch, chunk):
+        # An app directory name that is not UTF-8 decodes with a leading lone surrogate,
+        # and a smali escape spells one in a string constant. Chunks of one piece put
+        # a chunk boundary on each side of every piece that holds one.
+        app = chain_corpus / os.fsdecode(b"\xffapp")
+        shutil.copytree(chain_corpus / "app_chain", app)
+        sink = "    invoke-direct {v1, v0}, Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V"
+        body = [const_string_line("/sdcard/user_log/\\ud800"), sink]
+        (app / "S.smali").write_text(class_text("Lsu/S;", methods=[method_text("s", body=body)]), encoding="utf-8")
+        monkeypatch.setattr(report_module, "_CHUNK", chunk)
+        totals, pieces = scan_report(chain_corpus, DetectorConfig(), "json", workers=1)
+        assert len(pieces) >= 2 + 2 * totals.apps_scanned  # every part spans 2 chunks or more
+        if chunk == 1:
+            assert b'"\\udcffapp"' in pieces
+        assert b"".join(pieces) == emit_report(scan(chain_corpus)).encode("utf-8", "backslashreplace")
+        assert b"/sdcard/user_log/\\ud800" in b"".join(pieces)
         assert _outputs(chain_corpus, 2) == _in_process(chain_corpus)
         assert_no_child_left()
 

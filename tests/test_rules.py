@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -366,7 +365,7 @@ class TestLoadRuleset:
 
     def test_every_field_is_a_section(self, tmp_path):
         f = tmp_path / "rules.txt"
-        f.write_text("".join(f"[{field.name}]\n" for field in fields(RuleSet)), encoding="utf-8")
+        f.write_text("".join(f"[{name}]\n" for name in RuleSet._fields), encoding="utf-8")
         assert load_ruleset(f) == RuleSet([], [], [], [])
 
     def test_utf8_bom_is_skipped(self, tmp_path):
