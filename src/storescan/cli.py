@@ -9,7 +9,7 @@ import sys
 from . import __version__
 from .detector import DetectorConfig
 from .report import scan_report
-from .rules import RuleFormatError, default_ruleset, load_ruleset
+from .rules import default_ruleset, load_ruleset
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> None:
 
     try:
         rules = default_ruleset() if args.rules is None else load_ruleset(args.rules)
-    except (RuleFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a RuleFormatError, or a file that is not UTF-8
         print(f"error: bad ruleset: {exc}", file=sys.stderr)
         sys.exit(2)
     try:

@@ -104,40 +104,37 @@ def scan_corpus(root: str | os.PathLike, config: DetectorConfig) -> CorpusReport
 _CHUNK = 4096  # pieces of an app's part joined and encoded at a time: see _scan_share
 
 
-def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool,
-                first: bool) -> list[tuple[bool, int, list[bytes], str | None]]:
-    """Per app of ``apps``: flagged, its diagnostic count, its part of the report,
+def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, first: bool):
+    """Yield per app of ``apps``: flagged, its diagnostic count, its part of the report,
     rendered by ``put`` as soon as it is scanned, and its call graph text when
     ``dump``. ``first`` when the share holds the corpus's first app. A large app's
     part has hundreds of thousands of pieces; it is encoded ``_CHUNK`` pieces at a
     time, into a list of chunks, so no process holds it as one str and its bytes."""
-    frames = []
     for app_id, app_dir in apps:
         result, graph = _scan_app(app_id, app_dir, config, dump)
         out: list[str] = []
-        put(out, result, first and not frames)
+        put(out, result, first)
+        first = False
         # A lone surrogate (an unpaired dex string escape, or an app directory name that is not
         # UTF-8) lies inside one piece, and goes out as \uXXXX, the same bytes in any locale.
         part = ["".join(out[i:i + _CHUNK]).encode("utf-8", "backslashreplace") for i in range(0, len(out), _CHUNK)]
         out.clear()
-        frames.append((result.flagged, len(result.diagnostics), part, graph))
-    return frames
+        yield result.flagged, len(result.diagnostics), part, graph
 
 
-def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, fds: list[int]) -> NoReturn:
-    """A forked child's whole life: close the parent's pipe ends in ``fds``, pickle the
-    frames for ``apps`` into the last one, and exit, with 1 after a traceback. Ctrl-C
-    kills it silently, so the parent's traceback is the only one."""
+def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, spool) -> NoReturn:
+    """A forked child's whole life: pickle one frame per app of ``apps`` into ``spool``
+    as soon as the app is scanned, and exit, with 1 after a traceback. Ctrl-C kills it
+    silently, so the parent's traceback is the only one."""
     code = 1
     try:
         import pickle
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-        for fd in fds[:-1]:
-            os.close(fd)
-        with open(fds[-1], "wb") as pipe:
-            pickle.dump(_scan_share(apps, config, put, dump, False), pipe, pickle.HIGHEST_PROTOCOL)
+        for frame in _scan_share(apps, config, put, dump, False):
+            pickle.dump(frame, spool, pickle.HIGHEST_PROTOCOL)
+        spool.flush()
         code = 0
     except BaseException:
         import traceback
@@ -165,12 +162,14 @@ def scan_report(
 
     With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
     into ``min(workers, apps)`` shares: this process scans share 0, and one forked
-    worker each of the others, which sends its apps' rendered parts back pickled
-    through a pipe. The pieces and the graph text, which only this process writes,
-    are the same bytes for any ``workers``. A failed worker raises RuntimeError
-    naming its exit status; however the call ends, no worker is left running or
-    unreaped. A caller that runs threads keeps ``workers`` at 1: a forked child has
-    only the calling thread.
+    worker each of the others, which pickles one frame per app, its rendered part
+    among them, into an unnamed spool file in ``tempfile.gettempdir()``. This process
+    reads a worker's spool only after reaping it. The pieces and the graph text,
+    which only this process writes, are the same bytes for any ``workers``. A spool
+    that cannot be created raises OSError; a failed worker raises RuntimeError
+    naming its exit status. However the call ends, no worker is left running or
+    unreaped and no spool open. A caller that runs threads keeps ``workers`` at 1:
+    a forked child has only the calling thread.
     """
     put = _writer(fmt)
     app_dirs = _app_dirs(root)
@@ -178,33 +177,32 @@ def scan_report(
     dump = graph_sink is not None
     frames: list = [None] * len(app_dirs)
     pids: list[int] = []  # children not yet reaped, in share order
-    fds: list[int] = []  # pipe ends this process holds open
+    spools: list = []  # one per forked worker, in share order
     try:
         if jobs > 1:
             import pickle
             import signal
+            import tempfile
         for k in range(1, jobs):
-            fds += os.pipe()
+            spools.append(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                _worker(app_dirs[k::jobs], config, put, dump, fds)
+                _worker(app_dirs[k::jobs], config, put, dump, spools[-1])
             pids.append(pid)
-            os.close(fds.pop())  # the write end
         frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, put, dump, True)
-        for k in range(1, jobs):
-            with open(fds.pop(0), "rb") as pipe:
-                data = pipe.read()  # to EOF, which comes when the worker exits
+        for k, spool in enumerate(spools, 1):
             status = os.waitpid(pids[0], 0)[1]
             del pids[0]
             if status:
                 raise RuntimeError(f"scan worker {k} failed: exit status {os.waitstatus_to_exitcode(status)}")
-            frames[k::jobs] = pickle.loads(data)
+            spool.seek(0)
+            frames[k::jobs] = [pickle.load(spool) for _ in app_dirs[k::jobs]]
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+        for spool in spools:
+            spool.close()
     if dump:
         graph_sink.writelines(f[3] for f in frames if f[3])
     totals = Totals(len(frames), sum(f[0] for f in frames), sum(f[1] for f in frames))

@@ -15,7 +15,7 @@ import os
 import re
 from typing import NamedTuple
 
-from .smali_ir import Invoke, MethodDef, MethodRef, Record, StringConst
+from .smali_ir import _CLASS_DESC_RE, Invoke, MethodDef, MethodRef, Record, StringConst
 
 DEFAULT_KEYWORDS = [
     "log",
@@ -77,8 +77,16 @@ class RuleSet(Record):
                     if not (isinstance(pair, tuple) and len(pair) == 2
                             and all(isinstance(part, str) and part for part in pair)):
                         raise RuleFormatError(f"bad write_sink entry {pair!r}")
+                    # An invoke's owner is a class descriptor without "->".
+                    if not _CLASS_DESC_RE.fullmatch(pair[0]) or "->" in pair[0]:
+                        raise RuleFormatError(
+                            f"write_sink class {pair[0]!r} can never match: expected a descriptor like Lpkg/Cls;")
+                    _check_method_name("write_sink method", pair[1])
             elif any(not e for e in entries):
                 raise RuleFormatError(f"empty entry in {section}")
+            elif section == "path_apis":
+                for name in entries:
+                    _check_method_name("path API", name)
             elif section == "hardcoded_paths":
                 for p in entries:
                     if p.endswith("/"):  # MarkMemo appends its own "/"
@@ -86,6 +94,15 @@ class RuleSet(Record):
                             f"hardcoded path {p!r} only matches itself: drop the trailing /")
             if len(set(entries)) != len(entries):
                 raise RuleFormatError(f"duplicate entry in {section}")
+
+
+# An invoke's method name is read as [^\s(]+, and no dex method name holds . ; [ or /.
+_NOT_IN_NAME_RE = re.compile(r"[\s(.;\[/]")
+
+
+def _check_method_name(what: str, name: str) -> None:
+    if _NOT_IN_NAME_RE.search(name):
+        raise RuleFormatError(f"{what} {name!r} can never match: a method name holds no whitespace or ( . ; [ /")
 
 
 def default_ruleset() -> RuleSet:

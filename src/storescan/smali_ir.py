@@ -73,7 +73,7 @@ class Record:
 
 class Invoke(Record):
     """``kind`` is virtual, super, direct, static or interface. ``source_line``, here and in
-    ``StringConst``, is provenance for rule hits, left out of equality with re-rendering in mind."""
+    ``StringConst``, is provenance for rule hits, left out of equality."""
 
     __slots__ = _fields = ("kind", "target", "source_line")
     _compared = _fields[:2]

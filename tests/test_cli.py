@@ -74,6 +74,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "bad ruleset" in proc.stderr
 
+    def test_undecodable_rules_file_exits_two(self, tmp_path):
+        # Exit 1 would read as "apps flagged" under --fail-on-detect.
+        root = tmp_path / "corpus"
+        root.mkdir()
+        rules = tmp_path / "r.rules"
+        rules.write_bytes(b"[keywords]\n\xff\xfe\n")
+        proc = run_cli("scan", str(root), "--rules", str(rules), "--fail-on-detect")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: bad ruleset: ") and len(proc.stderr.splitlines()) == 1
+        assert "codec can't decode" in proc.stderr and proc.stdout == ""
+
     def test_unwritable_output_exits_two(self, three_app_corpus, tmp_path):
         # Exit 1 would read as "apps flagged" under --fail-on-detect.
         out = tmp_path / "missing" / "report.json"

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -5,6 +6,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -561,23 +563,29 @@ class TestWorkers:
                 assert _outputs(root, workers) == expected
         assert_no_child_left()
 
-    def test_workers_send_rendered_parts(self, chain_corpus, monkeypatch):
-        # A worker pickles one (flagged, diagnostic count, part, edge text) frame per app,
-        # the part a list of encoded chunks; a failed check in the forked worker fails
-        # its exit status, and so the scan.
+    def test_workers_send_rendered_parts(self, chain_corpus, monkeypatch, tmp_path):
+        # A worker pickles each app's (flagged, diagnostic count, part, edge text) frame
+        # on its own, the part a list of encoded chunks. The worker is another process,
+        # so each call appends what it was given to a log that this process reads.
         import pickle
 
-        dump = pickle.dump
+        dump, log = pickle.dump, tmp_path / "dumps.log"
 
-        def checked_dump(frames, file, protocol):
-            edge_text = type(frames[0][3])  # str with a graph sink, else None
-            assert [tuple(map(type, f)) for f in frames] == [(bool, int, list, edge_text)] * 2
-            assert all(type(chunk) is bytes for f in frames for chunk in f[2])
-            dump(frames, file, protocol)
+        def logged_dump(frame, file, protocol):
+            kinds = [type(x).__name__ for x in frame] + [all(type(chunk) is bytes for chunk in frame[2])]
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {' '.join(map(str, kinds))}\n")
+            dump(frame, file, protocol)
 
-        monkeypatch.setattr(pickle, "dump", checked_dump)
+        monkeypatch.setattr(pickle, "dump", logged_dump)
+        # Two shares: the worker scans app_chain and app_ok2, once for JSON with a graph sink, once for text.
         assert _outputs(chain_corpus, 2) == _in_process(chain_corpus)
         assert_no_child_left()
+        calls = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+        pids = list(dict.fromkeys(pid for pid, _ in calls))
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        assert [kinds for pid, kinds in calls if pid == pids[0]] == ["bool int list str True"] * 2
+        assert [kinds for pid, kinds in calls if pid == pids[1]] == ["bool int list NoneType True"] * 2
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_part_in_chunks_keeps_lone_surrogates_whole(self, chain_corpus, monkeypatch, chunk):
@@ -613,6 +621,65 @@ class TestWorkers:
         assert os.getpid() == pid
         assert_no_child_left()
         assert "ValueError: planted fault in app_chain" in capfd.readouterr().err
+
+    def test_killed_worker_raises_with_its_signal(self, chain_corpus, monkeypatch):
+        # The worker kills itself mid-share: in its second app, after its first frame is spooled.
+        pid, seen = os.getpid(), []
+
+        def parse(app_dir, app_id):
+            if os.getpid() != pid:
+                seen.append(app_id)  # the worker's own copy
+                if len(seen) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return parse_app_dir(app_dir, app_id)
+
+        monkeypatch.setattr(report_module, "parse_app_dir", parse)
+        with pytest.raises(RuntimeError, match="scan worker 1 failed: exit status -9"):
+            scan_report(chain_corpus, DetectorConfig(), "json", workers=2)
+        assert_no_child_left()
+
+    def test_spools_leave_nothing_behind(self, chain_corpus, monkeypatch, tmp_path):
+        # Whether a scan completes, a worker fails or it is interrupted, the spools'
+        # directory is left empty and no descriptor is left open.
+        spool_dir = tmp_path / "spools"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        fds = "/proc/self/fd"
+        before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+        pid = os.getpid()
+
+        def failing(app_dir, app_id):
+            if os.getpid() != pid:
+                raise ValueError("planted fault in the worker")
+            return parse_app_dir(app_dir, app_id)
+
+        def interrupted(app_dir, app_id):
+            if os.getpid() == pid:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        for parse, raised in [(parse_app_dir, None), (failing, RuntimeError), (interrupted, KeyboardInterrupt)]:
+            monkeypatch.setattr(report_module, "parse_app_dir", parse)
+            with pytest.raises(raised) if raised else contextlib.nullcontext() as caught:
+                scan_report(chain_corpus, DetectorConfig(), "json", workers=2)
+            # Until the next round, ``caught`` keeps the scan's frame, and so its locals,
+            # alive: the scan itself closed its spools, not their collection.
+            assert_no_child_left()
+            assert list(spool_dir.iterdir()) == []
+            if before is not None:
+                assert sorted(os.listdir(fds)) == before
+
+    def test_no_spool_no_forking_scan(self, chain_corpus, monkeypatch, tmp_path):
+        # A forking scan needs a writable temporary directory; without one it raises
+        # OSError, which the CLI turns into exit status 2, before any worker starts.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(OSError):
+            scan_report(chain_corpus, DetectorConfig(), "json", workers=2)
+        assert_no_child_left()
+        # One worker, or one app, scans in this process and needs no spool.
+        assert scan_report(chain_corpus, DetectorConfig(), "json", workers=1)[0].apps_scanned == 4
+        shutil.copytree(chain_corpus / "app_chain", tmp_path / "one" / "app_chain")
+        assert scan_report(tmp_path / "one", DetectorConfig(), "json", workers=7)[0].apps_flagged == 1
 
     def test_interrupted_scan_kills_its_workers(self, chain_corpus, monkeypatch):
         # The worker hangs in its first app; this process is interrupted in its first.

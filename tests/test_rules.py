@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -95,6 +96,41 @@ class TestDefaultRuleset:
         path.write_text("[hardcoded_paths]\n/sdcard/\n", encoding="utf-8")
         with pytest.raises(RuleFormatError, match=message):
             load_ruleset(path)
+
+    @pytest.mark.parametrize("name", ["getExternalStorageDirectory()", "get Dir", "get\tDir", "a.get",
+                                      "get;", "get[", "java/get"])
+    def test_unmatchable_path_api_rejected(self, tmp_path, name):
+        # The invoke grammar reads a method name as [^\s(]+, and no dex method name holds . ; [ or /.
+        message = rf"^path API {re.escape(repr(name))} can never match: a method name holds no whitespace"
+        with pytest.raises(RuleFormatError, match=message):
+            RuleSet([], ["getExternalCacheDir", name], [], [])
+        f = tmp_path / "rules.txt"
+        f.write_text(f"[path_apis]\n{name}\n", encoding="utf-8")
+        with pytest.raises(RuleFormatError, match=message):
+            load_ruleset(f)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("java.io.File::mkdirs", r"^write_sink class 'java\.io\.File' can never match: expected a descriptor"),
+        ("Ljava/io/File::mkdirs", r"^write_sink class 'Ljava/io/File' can never match"),
+        ("Ljava/io/File;x;::mkdirs", r"^write_sink class 'Ljava/io/File;x;' can never match"),
+        ("La b;::mkdirs", r"^write_sink class 'La b;' can never match"),
+        ("La->b;::mkdirs", r"^write_sink class 'La->b;' can never match"),
+        ("Ljava/io/File;::mkdirs (boolean)", r"^write_sink method 'mkdirs \(boolean\)' can never match"),
+        ("Ljava/io/File;::mkdirs()Z", r"^write_sink method 'mkdirs\(\)Z' can never match"),
+        ("Ljava/io/File;::File.mkdirs", r"^write_sink method 'File\.mkdirs' can never match"),
+    ])
+    def test_unmatchable_write_sink_rejected(self, tmp_path, entry, message):
+        cls, _, name = entry.partition("::")
+        with pytest.raises(RuleFormatError, match=message):
+            RuleSet([], [], [], [("Ljava/io/File;", "mkdir"), (cls, name)])
+        f = tmp_path / "rules.txt"
+        f.write_text(f"[write_sinks]\nLjava/io/File;::mkdir\n{entry}\n", encoding="utf-8")
+        with pytest.raises(RuleFormatError, match=message):
+            load_ruleset(f)
+
+    def test_constructor_and_dashed_names_accepted(self):
+        sinks = [("Ljava/io/RandomAccessFile;", "<init>"), ("La-b;", "<clinit>"), ("La$1;", "access$000")]
+        assert RuleSet([], ["get-x$y"], [], sinks).write_sinks == sinks
 
 
 class TestMatchKeyword:
