@@ -1,10 +1,13 @@
 """Corpus scanning and report serialization.
 
+A report is each app's part, in app order, inside its format's frame: the text
+before the first part, between two and after the last, which the config and the
+totals alone decide. A part does not know its position: it renders where its app is scanned.
+
 ``scan_corpus``, ``scan_report`` and ``emit_report`` pause the cyclic garbage
 collector. A scan and its report build no reference cycles
 (``tests/test_report.py::TestNoCycles`` pins this), so reference counting frees
-each app as the next replaces it; the collector's passes would only re-walk the
-app model and the report.
+each app as the next replaces it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import gc
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple, NoReturn, TextIO
 
 from .callgraph import build_callgraph, edge_list_text
@@ -23,15 +26,13 @@ from .rules import KeywordHit, PathSourceHit, ruleset_digest
 from .smali_ir import DuplicateClassError, Record, _escape_string, parse_app_dir, unreadable_reason
 
 SCHEMA_VERSION = "1"
-SCHEMA_FILENAME = "report_schema.json"
 
 
 def load_report_schema() -> dict:
     """The JSON schema the ``json`` report format conforms to."""
     from importlib import resources  # only here: it imports more than a scan does
 
-    text = resources.files(__package__).joinpath(SCHEMA_FILENAME).read_text(encoding="utf-8")
-    return json.loads(text)
+    return json.loads(resources.files(__package__).joinpath("report_schema.json").read_text(encoding="utf-8"))
 
 
 class Totals(NamedTuple):
@@ -48,11 +49,8 @@ class CorpusReport(Record):
 
     @property
     def totals(self) -> Totals:
-        return Totals(
-            apps_scanned=len(self.apps),
-            apps_flagged=sum(1 for r in self.apps if r.flagged),
-            parse_diagnostics=sum(len(r.diagnostics) for r in self.apps),
-        )
+        apps = self.apps
+        return Totals(len(apps), sum(r.flagged for r in apps), sum(len(r.diagnostics) for r in apps))
 
 
 def _collector_paused(fn):
@@ -104,17 +102,15 @@ def scan_corpus(root: str | os.PathLike, config: DetectorConfig) -> CorpusReport
 _CHUNK = 4096  # pieces of an app's part joined and encoded at a time: see _scan_share
 
 
-def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool, first: bool):
+def _scan_share(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool):
     """Yield per app of ``apps``: flagged, its diagnostic count, its part of the report,
-    rendered by ``put`` as soon as it is scanned, and its call graph text when
-    ``dump``. ``first`` when the share holds the corpus's first app. A large app's
-    part has hundreds of thousands of pieces; it is encoded ``_CHUNK`` pieces at a
-    time, into a list of chunks, so no process holds it as one str and its bytes."""
+    rendered by ``put`` as soon as it is scanned, and its call graph text when ``dump``.
+    A large app's part has hundreds of thousands of pieces; it is encoded ``_CHUNK``
+    pieces at a time, into a list of chunks, so no process holds it as one str and its bytes."""
     for app_id, app_dir in apps:
         result, graph = _scan_app(app_id, app_dir, config, dump)
         out: list[str] = []
-        put(out, result, first)
-        first = False
+        put(out, result)
         # A lone surrogate (an unpaired dex string escape, or an app directory name that is not
         # UTF-8) lies inside one piece, and goes out as \uXXXX, the same bytes in any locale.
         part = ["".join(out[i:i + _CHUNK]).encode("utf-8", "backslashreplace") for i in range(0, len(out), _CHUNK)]
@@ -132,7 +128,7 @@ def _worker(apps: list[tuple[str, str]], config: DetectorConfig, put, dump: bool
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-        for frame in _scan_share(apps, config, put, dump, False):
+        for frame in _scan_share(apps, config, put, dump):
             pickle.dump(frame, spool, pickle.HIGHEST_PROTOCOL)
         spool.flush()
         code = 0
@@ -154,11 +150,11 @@ def scan_report(
     *,
     workers: int = 1,
 ) -> tuple[Totals, list[bytes]]:
-    """What ``storescan scan`` writes: the totals, and the report in format ``fmt``
-    as UTF-8 chunks (the header, each app's part in app order in one or more chunks,
-    the closing) whose concatenation is ``emit_report(scan_corpus(root, config), fmt)``
-    encoded with ``backslashreplace``. Each app's call graph goes to ``graph_sink``, if
-    given, as a deterministic edge list, in app order. The errors are as for ``scan_corpus``.
+    """What ``storescan scan`` writes: the totals, and the report in format ``fmt`` as
+    UTF-8 chunks, each app's part in one or more, in the frame, whose concatenation is
+    ``emit_report(scan_corpus(root, config), fmt)`` encoded with ``backslashreplace``.
+    Each app's call graph goes to ``graph_sink``, if given, as a deterministic edge
+    list, in app order. The errors are as for ``scan_corpus``.
 
     With ``workers`` above 1, and ``os.fork``, the sorted apps are dealt round-robin
     into ``min(workers, apps)`` shares: this process scans share 0, and one forked
@@ -171,7 +167,7 @@ def scan_report(
     unreaped and no spool open. A caller that runs threads keeps ``workers`` at 1:
     a forked child has only the calling thread.
     """
-    put = _writer(fmt)
+    put, frame = _layout(fmt)
     app_dirs = _app_dirs(root)
     jobs = max(1, min(workers, len(app_dirs))) if hasattr(os, "fork") else 1
     dump = graph_sink is not None
@@ -189,7 +185,7 @@ def scan_report(
             if pid == 0:
                 _worker(app_dirs[k::jobs], config, put, dump, spools[-1])
             pids.append(pid)
-        frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, put, dump, True)
+        frames[0::jobs] = _scan_share(app_dirs[0::jobs], config, put, dump)
         for k, spool in enumerate(spools, 1):
             status = os.waitpid(pids[0], 0)[1]
             del pids[0]
@@ -206,8 +202,9 @@ def scan_report(
     if dump:
         graph_sink.writelines(f[3] for f in frames if f[3])
     totals = Totals(len(frames), sum(f[0] for f in frames), sum(f[1] for f in frames))
-    head, tail = _frame(fmt, config, totals)
-    return totals, [head.encode(), *chain.from_iterable(f[2] for f in frames), tail.encode()]
+    head, sep, tail = (s.encode() for s in frame(config, totals))
+    parts = chain.from_iterable(chain((sep,), f[2]) for f in frames)
+    return totals, [head, *islice(parts, 1, None), tail]  # no separator before the first part
 
 
 # The JSON writer fills literal-indent templates, byte for byte as json.dumps(tree, indent=2,
@@ -264,10 +261,9 @@ def _put_dict(out: list[str], items: list[tuple[str, list[str]]], pad: str) -> N
     out.append("\n" + pad + "}")
 
 
-def _put_json_app(out: list[str], r: DetectionResult, first: bool) -> None:
-    """Append one app's object, its braces 4 spaces in, after the list's opening
-    bracket when ``first`` and after a comma otherwise."""
-    out += ("[\n    " if first else ",\n    ", '{\n      "app_id": ', _str(r.app_id),
+def _put_json_app(out: list[str], r: DetectionResult) -> None:
+    """Append one app's object, its braces 4 spaces in."""
+    out += ('{\n      "app_id": ', _str(r.app_id),
             ',\n      "flagged": ', "true" if r.flagged else "false", ',\n      "diagnostics": ')
     _put_list(out, list(map(_str, r.diagnostics)), "      ")
     out.append(',\n      "findings": ')
@@ -299,7 +295,7 @@ def _text_row(category: str, e: Evidence) -> str:
     return f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n"
 
 
-def _put_text_app(out: list[str], r: DetectionResult, first: bool) -> None:
+def _put_text_app(out: list[str], r: DetectionResult) -> None:
     """Append one app's block, which an unflagged app does not have."""
     if not r.flagged:
         return
@@ -313,31 +309,31 @@ def _put_text_app(out: list[str], r: DetectionResult, first: bool) -> None:
             out.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")
 
 
-def _writer(fmt: str):
-    """The function that appends one app's part of a report in format ``fmt``."""
-    if fmt == "json":
-        return _put_json_app
-    if fmt == "text":
-        return _put_text_app
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _frame(fmt: str, config: DetectorConfig, totals: Totals) -> tuple[str, str]:
-    """The text before the first app's part and after the last one's."""
-    if fmt == "text":
-        return f"scanned={totals.apps_scanned} flagged={totals.apps_flagged}\n", ""
+def _json_frame(config: DetectorConfig, totals: Totals) -> tuple[str, str, str]:
     head = _HEADER.format(*totals, version=_str(SCHEMA_VERSION), depth=config.depth,
                           digest=_str(ruleset_digest(config.rules)))
-    return head, ("\n  ]\n}\n" if totals.apps_scanned else "[]\n}\n")
+    return (head + "[\n    ", ",\n    ", "\n  ]\n}\n") if totals.apps_scanned else (head + "[]\n}\n", "", "")
+
+
+def _layout(fmt: str):
+    """Format ``fmt``'s writer of one app's part, which does not know its position, and its
+    frame: ``frame(config, totals)`` is the text before the first part, between two, and after the last."""
+    if fmt == "json":
+        return _put_json_app, _json_frame
+    if fmt == "text":
+        return _put_text_app, lambda config, t: (f"scanned={t.apps_scanned} flagged={t.apps_flagged}\n", "", "")
+    raise ValueError(f"unknown report format {fmt!r}")
 
 
 @_collector_paused
 def emit_report(report: CorpusReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports yield byte-identical output."""
-    put = _writer(fmt)
-    head, tail = _frame(fmt, report.config, report.totals)
+    put, frame = _layout(fmt)
+    head, sep, tail = frame(report.config, report.totals)
     out = [head]
     for i, r in enumerate(report.apps):
-        put(out, r, not i)
+        if i:
+            out.append(sep)
+        put(out, r)
     out.append(tail)
     return "".join(out)

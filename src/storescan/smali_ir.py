@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from typing import NamedTuple
 
 SMALI_EXTENSION = ".smali"
@@ -240,7 +241,23 @@ def parse_class(text: str, memo: dict | None = None) -> ClassDef:
     return ClassDef(descriptor, super_descriptor, methods)
 
 
-def unreadable_reason(exc: OSError | UnicodeDecodeError) -> str:
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``. A FIFO or a device raises ValueError, neither
+    waited on nor read without end; a directory raises IsADirectoryError."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO opens without a writer
+    try:
+        mode = os.fstat(fd).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise ValueError("not a regular file")
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):  # a directory raises EISDIR here
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def unreadable_reason(exc: OSError | ValueError) -> str:
     """``unreadable: <reason>``. An OSError's own text names the absolute path;
     a report names relative paths only."""
     return "unreadable: " + str(OSError(exc.errno, exc.strerror) if isinstance(exc, OSError) else exc)
@@ -279,9 +296,8 @@ def parse_app_dir(root: str | os.PathLike, app_id: str) -> tuple[AppModel, list[
     memo: dict = {}
     for rel, path in files:
         try:
-            with open(path, "rb", buffering=0) as f:
-                text = f.read().decode("utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
+            text = _read_file(path).decode("utf-8-sig")
+        except (OSError, ValueError) as exc:  # ValueError: not a regular file, or not UTF-8
             diagnostics.append(f"{rel}: {unreadable_reason(exc)}")
             continue
         if "\r" in text:  # newlines as text mode reads them

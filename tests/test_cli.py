@@ -298,6 +298,29 @@ class TestOutputs:
         assert deep["totals"]["apps_flagged"] == 1
         assert shallow["totals"]["apps_flagged"] == 0
 
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_non_regular_file_costs_one_diagnostic(self, three_app_corpus, kind):
+        # A FIFO with no writer would block open() for ever, and /dev/zero would be read
+        # without end; each is one diagnostic, and its app and the corpus scan on. The
+        # timeout and the address-space limit make a regression fail in seconds.
+        import resource
+
+        bad = three_app_corpus / "app_bad" / "B.smali"
+        if kind == "fifo":
+            os.mkfifo(bad)
+        else:
+            bad.symlink_to("/dev/zero")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = run_cli("scan", str(three_app_corpus), timeout=30, preexec_fn=limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["totals"] == {"apps_scanned": 3, "apps_flagged": 1, "parse_diagnostics": 1}
+        (app,) = [a for a in payload["apps"] if a["app_id"] == "app_bad"]
+        assert app["flagged"] and app["diagnostics"] == ["B.smali: unreadable: not a regular file"]
+
     def test_dump_callgraph_on_stderr(self, three_app_corpus):
         proc = run_cli("scan", str(three_app_corpus), "--dump-callgraph")
         assert proc.returncode == 0

@@ -318,6 +318,14 @@ class TestScanCorpus:
         assert locked.diagnostics == ["app not scanned: unreadable: [Errno 13] Permission denied"]
         assert opened.flagged and opened.diagnostics == []
 
+    def test_device_file_is_one_diagnostic_and_no_garbage(self, three_app_corpus):
+        # /dev/null, unlike a FIFO or /dev/zero, ends at once even where it is read.
+        (three_app_corpus / "app_bad" / "Null.smali").symlink_to(os.devnull)
+        rows = {r.app_id: r for r in scan(three_app_corpus).apps}
+        assert rows["app_bad"].flagged
+        assert rows["app_bad"].diagnostics == ["Null.smali: unreadable: not a regular file"]
+        assert unreachable_after(lambda: _scan_and_emit(three_app_corpus)) == 0
+
     def test_totals_rederivable_from_rows(self, three_app_corpus):
         report = scan(three_app_corpus)
         assert report.totals.apps_scanned == len(report.apps)
@@ -783,6 +791,31 @@ class TestEmitReport:
         (app,) = json.loads(emit_report(report, "json"))["apps"]
         assert app["app_id"] == "odd\nid"
         assert app["findings"][0]["categories"]["keyword"][0]["value"] == forged.replace("\\n", "\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("apps", [0, 1, 6])
+    def test_parts_do_not_know_their_position(self, every_path_corpus, tmp_path, fmt, apps):
+        # Each app's part, rendered alone, joined by the frame's separator between the
+        # frame's head and tail, is the whole report, whichever process renders it.
+        root = tmp_path / "subset"
+        root.mkdir()
+        for app_dir in sorted(every_path_corpus.iterdir())[:apps]:
+            (root / app_dir.name).symlink_to(app_dir, target_is_directory=True)
+        report = scan(root)
+        assert len(report.apps) == apps
+        put, frame = report_module._layout(fmt)
+        parts = []
+        for r in report.apps:
+            out = []
+            put(out, r)
+            parts.append("".join(out))
+        head, sep, tail = frame(report.config, report.totals)
+        expected = head + sep.join(parts) + tail
+        assert emit_report(report, fmt) == expected
+        for workers in (1, 2):
+            pieces = scan_report(root, DetectorConfig(), fmt, workers=workers)[1]
+            assert b"".join(pieces) == expected.encode("utf-8", "backslashreplace")
+        assert_no_child_left()
 
     def test_unknown_format_rejected(self, three_app_corpus, monkeypatch):
         report = CorpusReport(DetectorConfig(), [])

@@ -377,6 +377,12 @@ class TestLoadRuleset:
         with pytest.raises(RuleFormatError):
             load_ruleset(f)
 
+    def test_duplicate_section_rejected(self, tmp_path):
+        f = tmp_path / "rules.txt"
+        f.write_text("[keywords]\nsecret\n\n[keywords]\nlog\n", encoding="utf-8")
+        with pytest.raises(RuleFormatError, match=r"^line 4: duplicate section \[keywords\]$"):
+            load_ruleset(f)
+
     def test_entry_before_section_rejected(self, tmp_path):
         f = tmp_path / "rules.txt"
         f.write_text("secret\n", encoding="utf-8")

@@ -264,6 +264,20 @@ class TestParseClass:
         with pytest.raises(SmaliParseError, match=r"^line 7: duplicate method f\(\)V$"):
             parse_class(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (".class La/B;\n.class La/C;\n", r"^line 2: duplicate \.class directive$"),
+            (".class La/B;\n.super NotADescriptor\n", r"^line 2: bad \.super directive$"),
+            (".class La/B;\n\n.super La/C; extra\n", r"^line 3: bad \.super directive$"),
+            (".class La/B;\n.super La/C;\n.super La/D;\n", r"^line 3: duplicate \.super directive$"),
+        ],
+        ids=["duplicate-class", "bad-super", "super-extra-token", "duplicate-super"],
+    )
+    def test_bad_class_header(self, text, message):
+        with pytest.raises(SmaliParseError, match=message):
+            parse_class(text)
+
     def test_same_name_different_proto_is_fine(self):
         text = class_text(
             "Lcom/a/B;",
