@@ -1,7 +1,7 @@
 """Depth-bounded detection over the call graph.
 
 A seed flags the app when the marks within ``depth - 1`` call edges of it
-cover all three criterion categories, the fields of ``ConditionSet``. One
+cover all three criterion categories, ``rules.CATEGORIES``. One
 bit-vector fixpoint over the call graph gives every seed's verdict; evidence
 is built only for the seeds it reports. Each finding also names, per category,
 a witness chain: the lexically smallest shortest call chain from the seed to
@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .callgraph import CallGraph, build_callgraph
 from .rules import (
+    CATEGORIES,
     KeywordHit,
     MarkMemo,
     MarkSet,
@@ -60,15 +61,8 @@ class Evidence(NamedTuple):
     distance: int  # call distance from the seed
 
 
-class ConditionSet(NamedTuple):
-    """Criterion evidence for one seed, one list per category. The fields are
-    the category names in report order. ``rules.MarkSet`` lists them too, each
-    with an ``_hits`` suffix; ``test_mark_fields_follow_condition_fields`` in
-    ``tests/test_detector.py`` holds the two in step."""
-
-    keyword: list[Evidence]
-    path_source: list[Evidence]
-    write_sink: list[Evidence]
+# One seed's Evidence, a list per name in ``rules.CATEGORIES``.
+ConditionSet = NamedTuple("ConditionSet", [(c, list) for c in CATEGORIES])
 
 
 class Finding(Record):

@@ -285,13 +285,13 @@ def _put_json_app(out: list[str], r: DetectionResult) -> None:
 
 
 def _text_row(category: str, e: Evidence) -> str:
-    # Constants (and app ids) are escaped as in smali source, so none can start a line.
+    # Constants, invoke targets and app ids are escaped as in smali source: none can start a line.
     if isinstance(e.hit, KeywordHit):
         hit = f'"{_escape_string(e.hit.value)}" (keyword {e.hit.keyword})'
     elif isinstance(e.hit, PathSourceHit):
         hit = _escape_string(e.hit.evidence)
     else:
-        hit = str(e.hit.target)
+        hit = _escape_string(str(e.hit.target))
     return f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n"
 
 

@@ -130,13 +130,11 @@ class WriteSinkHit(NamedTuple):
     line: int
 
 
-class MarkSet(NamedTuple):
-    """Per-method rule hits: field ``<c>_hits`` lists category ``c``'s hits, in
-    ``detector.ConditionSet`` field order; a category's flag is non-emptiness."""
-
-    keyword_hits: list[KeywordHit]
-    path_source_hits: list[PathSourceHit]
-    write_sink_hits: list[WriteSinkHit]
+# The criterion categories in report order. A MarkSet holds one method's hits, field
+# ``<c>_hits`` those of category ``c``, and ``detector.ConditionSet`` one seed's evidence,
+# field ``c``; a category's flag is non-emptiness.
+CATEGORIES = ("keyword", "path_source", "write_sink")
+MarkSet = NamedTuple("MarkSet", [(c + "_hits", list) for c in CATEGORIES])
 
 
 _TOKEN_SPLIT_RE = re.compile(r"[/\\._\- ]")

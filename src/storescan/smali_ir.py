@@ -10,8 +10,8 @@ them.
 
 ``parse_app_dir`` gives the files of one app one memo: each distinct
 ``invoke-*`` or ``const-string`` line is matched once per app, and each method
-identity is one ``MethodRef`` object, shared by every call to it and by its
-``.method`` key. A line that fails its grammar is not stored.
+identity, class descriptor and proto is one object, shared by every use of it.
+An invoke keeps only its target. A line that fails its grammar is not stored.
 
 String literals take smali's escapes: ``\\`` followed by one of ``"'\\ntrbf0``,
 or ``\\u`` followed by exactly four hex digits. Any other backslash is kept as
@@ -73,14 +73,14 @@ class Record:
 
 
 class Invoke(Record):
-    """``kind`` is virtual, super, direct, static or interface. ``source_line``, here and in
-    ``StringConst``, is provenance for rule hits, left out of equality."""
+    """One ``invoke-*`` line's target. ``source_line``, here and in ``StringConst``,
+    is provenance for rule hits, left out of equality."""
 
-    __slots__ = _fields = ("kind", "target", "source_line")
-    _compared = _fields[:2]
+    __slots__ = _fields = ("target", "source_line")
+    _compared = _fields[:1]
 
-    def __init__(self, kind: str, target: MethodRef, source_line: int = 0):
-        self.kind, self.target, self.source_line = kind, target, source_line
+    def __init__(self, target: MethodRef, source_line: int = 0):
+        self.target, self.source_line = target, source_line
 
 
 class StringConst(Record):
@@ -120,7 +120,7 @@ _CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
 # characters, each "-" not followed by ">". It ends at its first ";", so the
 # match is linear in the line's length.
 _INVOKE_RE = re.compile(
-    r"^invoke-(virtual|super|direct|static|interface)(?:/range)?\s+"
+    r"^invoke-(?:virtual|super|direct|static|interface)(?:/range)?\s+"
     r"\{[^}]*\}\s*,\s*(L(?=[^\s;])[^\s;-]*(?:-(?!>)[^\s;-]*)*;)->([^\s(]+)(\([^)]*\)\S+)$"
 )
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
@@ -132,7 +132,7 @@ _UNESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t",
 _UNESCAPE_RE = re.compile(r"""\\(u[0-9a-fA-F]{4}|["'\\ntrbf0])""")
 # Rendering writes NUL and the control characters without a letter as \uXXXX.
 _ESCAPES = {c: "\\" + letter for letter, c in _UNESCAPES.items() if letter != "0"}
-_ESCAPE_RE = re.compile(r'[\\"\x00-\x1f]')
+_ESCAPE_RE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
 
 
 def _unescape_string(s: str) -> str:
@@ -165,6 +165,10 @@ def parse_class(text: str, memo: dict | None = None) -> ClassDef:
     if memo is None:
         memo = {}
     canonical = memo.setdefault
+    def method_ref(owner: str, name: str, proto: str) -> MethodRef:  # the app's one of each part
+        ref = MethodRef(canonical(owner, owner), name, canonical(proto, proto))
+        return canonical(ref, ref)
+
     descriptor: str | None = None
     super_descriptor = ""
     methods: list[MethodDef] = []
@@ -182,12 +186,11 @@ def parse_class(text: str, memo: dict | None = None) -> ClassDef:
             # parse enter the memo: if-*, iget, const/4 and the like would bloat it.
             first = stripped[:1]
             if first == "i":
-                hit = memo.get(stripped)
-                if hit is None and (m := _INVOKE_RE.match(stripped)):
-                    ref = MethodRef._make(m.group(2, 3, 4))
-                    hit = memo[stripped] = (m[1], canonical(ref, ref))
-                if hit is not None:
-                    body.append(Invoke(hit[0], hit[1], lineno))
+                target = memo.get(stripped)
+                if target is None and (m := _INVOKE_RE.match(stripped)):
+                    target = memo[stripped] = method_ref(*m.groups())
+                if target is not None:
+                    body.append(Invoke(target, lineno))
             elif first == "c":
                 value = memo.get(stripped)
                 if value is None and (m := _CONST_STRING_RE.match(stripped)):
@@ -217,13 +220,12 @@ def parse_class(text: str, memo: dict | None = None) -> ClassDef:
                 raise SmaliParseError("bad .super directive", lineno)
             if super_descriptor:
                 raise SmaliParseError("duplicate .super directive", lineno)
-            super_descriptor = tokens[1]
+            super_descriptor = canonical(tokens[1], tokens[1])
         elif head == ".method":
             if descriptor is None:
                 raise SmaliParseError(".method before .class", lineno)
             m = _parse_header(stripped, lineno, _METHOD_SIG_RE, "method signature")
-            key = MethodRef(descriptor, *m.groups())
-            key = canonical(key, key)
+            key = method_ref(descriptor, *m.groups())
             if key in seen_methods:
                 raise SmaliParseError(f"duplicate method {key.name}{key.proto}", lineno)
             seen_methods.add(key)
@@ -238,7 +240,7 @@ def parse_class(text: str, memo: dict | None = None) -> ClassDef:
         )
     if descriptor is None:
         raise SmaliParseError("no .class directive found", 1)
-    return ClassDef(descriptor, super_descriptor, methods)
+    return ClassDef(canonical(descriptor, descriptor), super_descriptor, methods)
 
 
 def _read_file(path: str) -> bytes:
@@ -272,8 +274,9 @@ def parse_app_dir(root: str | os.PathLike, app_id: str) -> tuple[AppModel, list[
     and the OS's own OSError when root is missing, not a directory or unreadable.
 
     Every ``parse_class`` call for the app shares one memo, dropped on return:
-    it maps each parsed instruction line to its kind and target or its string,
-    and each ``MethodRef`` to the app's one object for that identity.
+    it maps each parsed instruction line to its target or its string, and each
+    ``MethodRef``, class descriptor and proto to the app's one object for it.
+    No keys collide: lines start with ``i`` or ``c``, descriptors ``L``, protos ``(``.
     """
     top = os.fspath(root)
     cut = len(os.path.join(top, ""))  # os.walk names each entry os.path.join(dirpath, name)

@@ -297,17 +297,17 @@ def random_instance(rng: random.Random, max_methods: int = 30) -> RandomInstance
         if j in path_nodes:
             if rng.random() < 0.5:
                 body.append(
-                    Invoke("static", MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"))
+                    Invoke(MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"))
                 )
             else:
                 body.append(StringConst(rng.choice(SDCARD_STRINGS)))
         elif rng.random() < 0.3:
             body.append(StringConst(rng.choice(SAFE_STRINGS)))
         if j in sink_nodes:
-            body.append(Invoke("direct", MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V")))
+            body.append(Invoke(MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V")))
         for callee in adjacency[j]:
             co, cn, cp = keys[callee]
-            body.append(Invoke("static", MethodRef(co, cn, cp)))
+            body.append(Invoke(MethodRef(co, cn, cp)))
         classes.setdefault(owner, []).append(MethodDef(MethodRef(owner, name, proto), body))
 
     class_defs = [ClassDef(owner, "Ljava/lang/Object;", methods) for owner, methods in sorted(classes.items())]
@@ -436,14 +436,16 @@ def write_corpus(root, apps: list[PlantedApp]) -> None:
 
 def _render_instruction(ins: Invoke | StringConst) -> str:
     if isinstance(ins, Invoke):
-        return f"    invoke-{ins.kind} {{}}, {ins.target}"
+        kind = "direct" if ins.target.name == "<init>" else "static"
+        return f"    invoke-{kind} {{}}, {ins.target}"
     return f'    const-string v0, "{_escape_string(ins.value)}"'
 
 
 def render_class(cls: ClassDef) -> str:
     """Emit smali text whose re-parse is structurally identical to ``cls``. Each
-    instruction is written from its structure; the class is ``public``, each
-    method ``public static`` with ``.locals 3``."""
+    instruction is written from its structure, an invoke as ``invoke-direct`` when it
+    calls a ``<init>`` and ``invoke-static`` otherwise, since the model keeps no kind;
+    the class is ``public``, each method ``public static`` with ``.locals 3``."""
     parts = [f".class public {cls.descriptor}"]
     if cls.super_descriptor:
         parts.append(f".super {cls.super_descriptor}")

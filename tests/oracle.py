@@ -215,7 +215,7 @@ def text_report_oracle(report: CorpusReport) -> str:
                     elif isinstance(e.hit, PathSourceHit):
                         hit = _escape_string(e.hit.evidence)
                     else:
-                        hit = str(e.hit.target)
+                        hit = _escape_string(str(e.hit.target))
                     out.append(f"    {category}: {hit} in {e.method} line {e.hit.line} distance {e.distance}\n")
             for category, chain in f.witness_chains.items():
                 out.append(f"    chain {category}: " + " -> ".join(map(str, chain)) + "\n")

@@ -14,7 +14,7 @@ def app_from_adjacency(adjacency: dict[str, list[str]]) -> AppModel:
     owner = "Lg/G;"
     methods = []
     for name in adjacency:
-        body = [Invoke("static", MethodRef(owner, callee, "()V")) for callee in adjacency[name]]
+        body = [Invoke(MethodRef(owner, callee, "()V")) for callee in adjacency[name]]
         methods.append(MethodDef(MethodRef(owner, name, "()V"), body))
     return AppModel("graph", [ClassDef(owner, "Ljava/lang/Object;", methods)])
 
@@ -41,7 +41,7 @@ class TestBuildCallgraph:
                 ClassDef(
                     "La/A;",
                     "Ljava/lang/Object;",
-                    methods=[MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke("static", ref)])],
+                    methods=[MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke(ref)])],
                 )
             ],
         )
@@ -56,7 +56,7 @@ class TestBuildCallgraph:
                     "La/A;",
                     "Ljava/lang/Object;",
                     methods=[
-                        MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke("static", MethodRef("La/A;", "g", "(I)V"))]),
+                        MethodDef(MethodRef("La/A;", "f", "()V"), [Invoke(MethodRef("La/A;", "g", "(I)V"))]),
                         MethodDef(MethodRef("La/A;", "g", "()V"), []),
                     ],
                 )

@@ -13,6 +13,7 @@ from storescan.callgraph import CallGraph, build_callgraph
 from storescan.detector import ConditionSet, DetectionResult, DetectorConfig, Evidence, _covering_seeds, detect_app
 from storescan.report import CorpusReport, emit_report, load_report_schema
 from storescan.rules import (
+    CATEGORIES,
     KeywordHit,
     MarkMemo,
     MarkSet,
@@ -36,10 +37,9 @@ from oracle import (
 OWNER = "Ld/D;"
 
 PATH_API = Invoke(
-    "static",
     MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"),
 )
-SINK = Invoke("direct", MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V"))
+SINK = Invoke(MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V"))
 
 
 def make_app(layout: dict[str, tuple[list, list[str]]]) -> AppModel:
@@ -47,7 +47,7 @@ def make_app(layout: dict[str, tuple[list, list[str]]]) -> AppModel:
     methods = []
     for name, (mark_ins, callees) in layout.items():
         body = list(mark_ins)
-        body.extend(Invoke("static", MethodRef(OWNER, c, "()V")) for c in callees)
+        body.extend(Invoke(MethodRef(OWNER, c, "()V")) for c in callees)
         methods.append(MethodDef(MethodRef(OWNER, name, "()V"), body))
     return AppModel("app", [ClassDef(OWNER, "Ljava/lang/Object;", methods)])
 
@@ -128,7 +128,7 @@ class TestAccumulate:
         rng = random.Random(53)
         extra = [
             StringConst("/sdcard/user_log", 90),
-            Invoke("virtual", MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 91),
+            Invoke(MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 91),
         ]
         rows = unsatisfied = multi_hit = 0
         for _ in range(40):
@@ -406,6 +406,10 @@ class TestCategories:
 
     def test_mark_fields_follow_condition_fields(self):
         assert tuple(f.removesuffix("_hits") for f in MarkSet._fields) == ConditionSet._fields
+
+    def test_one_tuple_names_the_categories(self):
+        assert CATEGORIES == ConditionSet._fields == ("keyword", "path_source", "write_sink")
+        assert MarkSet._fields == ("keyword_hits", "path_source_hits", "write_sink_hits")
 
     def test_witness_chains_in_category_order(self):
         (finding,) = detect_app(CHAIN_APP, DetectorConfig(depth=3)).findings

@@ -42,7 +42,7 @@ def _write_pair_corpus(root) -> None:
         classes: dict[str, list[MethodDef]] = {}
         for cls in random_instance(rng).app.classes:
             for m in cls.methods:
-                body = [Invoke(x.kind, _pair_name(x.target)) if isinstance(x, Invoke) else x for x in m.body]
+                body = [Invoke(_pair_name(x.target)) if isinstance(x, Invoke) else x for x in m.body]
                 key = _pair_name(m.key)
                 classes.setdefault(key.class_descriptor, []).append(MethodDef(key, body))
         app = root / f"app{i:02d}"

@@ -25,7 +25,7 @@ class TestRecords:
     REF = smali_ir.MethodRef("La;", "m", "()V")
 
     def test_positional_and_keyword_construction(self):
-        assert smali_ir.Invoke("static", self.REF, 4) == smali_ir.Invoke(kind="static", target=self.REF, source_line=4)
+        assert smali_ir.Invoke(self.REF, 4) == smali_ir.Invoke(target=self.REF, source_line=4)
         assert smali_ir.ClassDef("La;", "Lb;", []) == smali_ir.ClassDef(descriptor="La;", super_descriptor="Lb;")
         assert detector.DetectionResult("a", [], ["d"]).diagnostics == ["d"]
 
@@ -37,12 +37,12 @@ class TestRecords:
         assert smali_ir.AppModel("a", []) != smali_ir.AppModel("b", [])
 
     def test_source_line_is_left_out_of_equality_and_shown_in_repr(self):
-        assert smali_ir.Invoke("static", self.REF, 3) == smali_ir.Invoke("static", self.REF, 9)
-        assert smali_ir.Invoke("static", self.REF, 3) != smali_ir.Invoke("virtual", self.REF, 3)
+        assert smali_ir.Invoke(self.REF, 3) == smali_ir.Invoke(self.REF, 9)
+        assert smali_ir.Invoke(self.REF, 3) != smali_ir.Invoke(self.REF._replace(name="n"), 3)
         assert smali_ir.StringConst("x", 3) == smali_ir.StringConst("x", 9) != smali_ir.StringConst("y", 3)
         assert repr(smali_ir.StringConst("x", 3)) == "StringConst(value='x', source_line=3)"
-        assert repr(smali_ir.Invoke("static", self.REF, 3)) == (
-            "Invoke(kind='static', target=MethodRef(class_descriptor='La;', name='m', proto='()V'), source_line=3)"
+        assert repr(smali_ir.Invoke(self.REF, 3)) == (
+            "Invoke(target=MethodRef(class_descriptor='La;', name='m', proto='()V'), source_line=3)"
         )
 
     def test_omitted_lists_and_rules_are_fresh_each_time(self):

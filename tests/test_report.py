@@ -770,10 +770,13 @@ class TestEmitReport:
         (row,) = [r for r in scan(copy).apps if r.app_id == "app_ok1"]
         assert row.diagnostics == ["X.smali: unreadable: [Errno 21] Is a directory"]
 
-    def test_text_report_escapes_strings_and_app_ids(self, tmp_path):
-        # A constant or a directory name holding a newline must not start a line
-        # of its own, such as a forged "app ..." header.
-        forged = "/sdcard/x\\napp evil: 9 finding(s)\\n/user_log"  # smali source escapes
+    @staticmethod
+    def check_no_forged_line(tmp_path, brk, shown):
+        """A constant and a directory name that hold the line break ``brk`` start no
+        line of the text report, such as a forged "app ..." header: each shows it as
+        ``shown``. A newline is written in smali source as its escape, the others raw."""
+        source = shown if brk == "\n" else brk
+        forged = f"/sdcard/x{source}app evil: 9 finding(s){source}/user_log"
         vuln = class_text(
             "Lfx/Forge;",
             methods=[method_text("run", body=[
@@ -781,16 +784,41 @@ class TestEmitReport:
                 "    invoke-direct {v1, v0}, Ljava/io/FileOutputStream;-><init>(Ljava/lang/String;)V",
             ])],
         )
-        (tmp_path / "odd\nid").mkdir()
-        (tmp_path / "odd\nid" / "Forge.smali").write_text(vuln, encoding="utf-8")
+        (tmp_path / f"odd{brk}id").mkdir()
+        (tmp_path / f"odd{brk}id" / "Forge.smali").write_text(vuln, encoding="utf-8")
         report = scan(tmp_path)
         text = emit_report(report, "text")
-        assert [l for l in text.splitlines() if l.startswith("app ")] == ["app odd\\nid: 1 finding(s)"]
-        assert f'    keyword: "{forged}" (keyword log) in Lfx/Forge;->run()V' in text
-        assert f"    path_source: {forged} in Lfx/Forge;->run()V" in text
+        assert [l for l in text.splitlines() if l.startswith("app ")] == [f"app odd{shown}id: 1 finding(s)"]
+        escaped = forged.replace(source, shown)
+        assert f'    keyword: "{escaped}" (keyword log) in Lfx/Forge;->run()V' in text
+        assert f"    path_source: {escaped} in Lfx/Forge;->run()V" in text
         (app,) = json.loads(emit_report(report, "json"))["apps"]
-        assert app["app_id"] == "odd\nid"
-        assert app["findings"][0]["categories"]["keyword"][0]["value"] == forged.replace("\\n", "\n")
+        assert app["app_id"] == f"odd{brk}id"
+        assert app["findings"][0]["categories"]["keyword"][0]["value"] == forged.replace(source, brk)
+
+    def test_text_report_escapes_strings_and_app_ids(self, tmp_path):
+        self.check_no_forged_line(tmp_path, "\n", "\\n")
+
+    # str.splitlines, and so a reader of the text report, also ends a line at these.
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_text_report_escapes_unicode_line_breaks(self, tmp_path, brk):
+        self.check_no_forged_line(tmp_path, brk, f"\\u{ord(brk):04x}")
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_text_report_escapes_write_sink_targets(self, tmp_path, brk):
+        # An invoke's proto may hold any character but ")", line breaks among them.
+        sink = f"Ljava/io/File;->mkdirs({brk}app evil: 9 finding{brk})Z"
+        vuln = class_text("Lfx/Forge;", methods=[method_text("run", body=[
+            const_string_line("/sdcard/user_log"), f"    invoke-virtual {{v0}}, {sink}"])])
+        (tmp_path / "app").mkdir()
+        (tmp_path / "app" / "Forge.smali").write_text(vuln, encoding="utf-8")
+        report = scan(tmp_path)
+        text = emit_report(report, "text")
+        assert [l for l in text.splitlines() if l.startswith("app ")] == ["app app: 1 finding(s)"]
+        shown = sink.replace(brk, f"\\u{ord(brk):04x}")
+        assert f"    write_sink: {shown} in Lfx/Forge;->run()V line 6 distance 0\n" in text
+        (app,) = json.loads(emit_report(report, "json"))["apps"]
+        assert app["findings"][0]["categories"]["write_sink"][0]["target"] == sink
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("apps", [0, 1, 6])

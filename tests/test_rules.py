@@ -187,7 +187,7 @@ def method_with(body) -> MethodDef:
 class TestMarkFunction:
     def test_path_api_invoke(self):
         m = method_with([
-            Invoke("static", MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"), 5)
+            Invoke(MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"), 5)
         ])
         marks = mark_function(m, MarkMemo(default_ruleset()))
         assert [h.evidence for h in marks.path_source_hits] == ["getExternalStorageDirectory"]
@@ -196,7 +196,7 @@ class TestMarkFunction:
 
     def test_path_api_matched_on_any_class(self):
         m = method_with([
-            Invoke("virtual", MethodRef("Lcom/app/MyActivity;", "getExternalFilesDir", "(Ljava/lang/String;)Ljava/io/File;"), 2)
+            Invoke(MethodRef("Lcom/app/MyActivity;", "getExternalFilesDir", "(Ljava/lang/String;)Ljava/io/File;"), 2)
         ])
         marks = mark_function(m, MarkMemo(default_ruleset()))
         assert len(marks.path_source_hits) == 1
@@ -232,7 +232,7 @@ class TestMarkFunction:
 
     def test_mkdir_and_keyword_string(self):
         m = method_with([
-            Invoke("virtual", MethodRef("Ljava/io/File;", "mkdir", "()Z"), 4),
+            Invoke(MethodRef("Ljava/io/File;", "mkdir", "()Z"), 4),
             StringConst("/Yixin/log/", 6),
         ])
         marks = mark_function(m, MarkMemo(default_ruleset()))
@@ -241,14 +241,14 @@ class TestMarkFunction:
 
     def test_fileoutputstream_init_is_sink(self):
         m = method_with([
-            Invoke("direct", MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V"), 9)
+            Invoke(MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V"), 9)
         ])
         marks = mark_function(m, MarkMemo(default_ruleset()))
         assert marks.write_sink_hits[0].line == 9
 
     def test_other_init_is_not_sink(self):
         m = method_with([
-            Invoke("direct", MethodRef("Ljava/lang/StringBuilder;", "<init>", "()V"), 1)
+            Invoke(MethodRef("Ljava/lang/StringBuilder;", "<init>", "()V"), 1)
         ])
         assert mark_function(m, MarkMemo(default_ruleset())).write_sink_hits == []
 
@@ -274,7 +274,7 @@ class TestMarkFunction:
     def test_evidence_lines_point_at_matching_instruction(self):
         m = method_with([
             StringConst("/sdcard/user_log", 11),
-            Invoke("virtual", MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 12),
+            Invoke(MethodRef("Ljava/io/File;", "mkdirs", "()Z"), 12),
         ])
         marks = mark_function(m, MarkMemo(default_ruleset()))
         by_line = {ins.source_line: ins for ins in m.body}
@@ -299,7 +299,7 @@ targets = st.sampled_from(
        MethodRef("Ljava/io/FileOutputStream;", "<init>", "(Ljava/lang/String;)V")]
 )
 instructions = st.builds(StringConst, constants, st.integers(1, 99)) | st.builds(
-    Invoke, st.just("virtual"), targets, st.integers(1, 99))
+    Invoke, targets, st.integers(1, 99))
 
 
 class TestMarkMemo:

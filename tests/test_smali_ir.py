@@ -67,7 +67,6 @@ class TestParseClass:
         (m,) = parse_class(text).methods
         (ins,) = m.body
         assert ins == Invoke(
-            "static",
             MethodRef("Landroid/os/Environment;", "getExternalStorageDirectory", "()Ljava/io/File;"),
         )
 
@@ -126,8 +125,16 @@ class TestParseClass:
         ]
         text = class_text("Lcom/a/B;", methods=[method_text("f", body=body)])
         (m,) = parse_class(text).methods
-        kinds = [ins.kind for ins in m.body]
-        assert kinds == ["virtual", "super", "direct", "static", "interface", "virtual"]
+        assert m.body == [
+            Invoke(MethodRef("La/A;", "v", "()V")),
+            Invoke(MethodRef("La/A;", "s", "()V")),
+            Invoke(MethodRef("La/A;", "<init>", "()V")),
+            Invoke(MethodRef("La/A;", "t", "()V")),
+            Invoke(MethodRef("La/I;", "i", "()V")),
+            Invoke(MethodRef("La/A;", "r", "(IIIII)V")),
+        ]
+        lines = text.split("\n")
+        assert [lines[ins.source_line - 1] for ins in m.body] == body
 
     def test_source_lines_are_recorded(self):
         # Interpreted lines carry their line number for rule hits.
@@ -136,7 +143,7 @@ class TestParseClass:
             '    const-string v0, "x.y"\n    invoke-static {}, La/A;->t()V\n.end method\n'
         )
         (m,) = parse_class(text).methods
-        assert m.body == [StringConst("x.y"), Invoke("static", MethodRef("La/A;", "t", "()V"))]
+        assert m.body == [StringConst("x.y"), Invoke(MethodRef("La/A;", "t", "()V"))]
         assert [ins.source_line for ins in m.body] == [5, 6]
 
     def test_uninterpreted_lines_are_opaque(self):
@@ -331,7 +338,7 @@ class TestInvokeGrammar:
         if want is None:
             assert got is None
         else:
-            assert isinstance(got, Invoke) and (got.kind, *got.target) == want
+            assert isinstance(got, Invoke) and tuple(got.target) == want[1:]
 
     def test_owner_containing_an_arrow_is_no_class(self):
         # The reference's lazy owner group reaches past a "->" when the rest after
@@ -365,11 +372,7 @@ _PROTO = st.builds(
     lambda params, ret: f"({''.join(params)}){ret}", st.lists(_TYPE, max_size=3), st.one_of(st.just("V"), _TYPE)
 )
 _METHOD_NAME = st.one_of(st.sampled_from(["<init>", "<clinit>"]), _IDENT)
-_INVOKE = st.builds(
-    Invoke,
-    st.sampled_from(["virtual", "super", "direct", "static", "interface"]),
-    st.builds(MethodRef, _CLASS_DESC, _METHOD_NAME, _PROTO),
-)
+_INVOKE = st.builds(Invoke, st.builds(MethodRef, _CLASS_DESC, _METHOD_NAME, _PROTO))
 _SPECIAL_CHARS = '\\"\'\n\t\r\b\f\x00\x1f\x7féж€😀/._ '  # escapes, controls, non-ASCII
 _STRING_CONST = st.builds(StringConst, st.one_of(st.text(), st.text(alphabet=_SPECIAL_CHARS)))
 _OPAQUE = st.builds(
@@ -406,8 +409,9 @@ def class_defs(draw) -> ClassDef:
 
 @st.composite
 def noisy_renders(draw) -> tuple[ClassDef, str]:
-    """A class and its rendering with random flags on each header and random
-    uninterpreted lines before each line."""
+    """A class and its rendering with random flags on each header, a random kind,
+    with or without ``/range``, on each invoke, and random uninterpreted lines
+    before each line."""
     cls = draw(class_defs())
     lines = []
     for line in render_class(cls).split("\n"):
@@ -415,6 +419,10 @@ def noisy_renders(draw) -> tuple[ClassDef, str]:
         if line.startswith((".class ", ".method ")):
             directive, *_, last = line.split(" ")
             line = " ".join([directive, *draw(_FLAGS), last])
+        elif line.startswith("    invoke-"):
+            kind = draw(st.sampled_from(["virtual", "super", "direct", "static", "interface"]))
+            kind += draw(st.sampled_from(["", "/range"]))
+            line = f"    invoke-{kind} {{}}, {line.split(', ', 1)[1]}"
         lines.append(line)
     return cls, "\n".join(lines)
 
@@ -428,7 +436,7 @@ class TestRenderRoundTrip:
         # Generated corpora whose report digests are pinned are written by
         # render_class; a line added or dropped here would move every source line.
         key = MethodRef("La/B;", "f", "()V")
-        cls = ClassDef("La/B;", "Ljava/lang/Object;", [MethodDef(key, [StringConst("x"), Invoke("static", key)])])
+        cls = ClassDef("La/B;", "Ljava/lang/Object;", [MethodDef(key, [StringConst("x"), Invoke(key)])])
         assert render_class(cls) == (
             ".class public La/B;\n.super Ljava/lang/Object;\n\n.method public static f()V\n    .locals 3\n"
             '    const-string v0, "x"\n    invoke-static {}, La/B;->f()V\n.end method\n'
@@ -472,7 +480,7 @@ class TestRenderRoundTrip:
             methods=[
                 MethodDef(
                     MethodRef("Lsyn/A;", "f", "()V"),
-                    [Invoke("static", MethodRef("Lsyn/B;", "g", "()V")), StringConst("hello.world")],
+                    [Invoke(MethodRef("Lsyn/B;", "g", "()V")), StringConst("hello.world")],
                 )
             ],
         )
@@ -738,6 +746,12 @@ def method_refs(app: AppModel) -> list[MethodRef]:
             for ref in (m.key, *(ins.target for ins in m.body if isinstance(ins, Invoke)))]
 
 
+def model_strings(app: AppModel) -> list[str]:
+    """Every class descriptor and proto string the model holds, one entry per place."""
+    return [s for c in app.classes for s in (c.descriptor, c.super_descriptor) if s] + [
+        s for ref in method_refs(app) for s in (ref.class_descriptor, ref.proto)]
+
+
 @pytest.fixture
 def memos(monkeypatch):
     """The memo of every ``parse_class`` call ``parse_app_dir`` makes."""
@@ -806,11 +820,29 @@ class TestAppMemo:
             return [(ins.source_line, ins) for c in classes for m in c.methods for ins in m.body]
 
         assert lines(model.classes) == lines(alone)  # source_line is compare=False
-        # One memo for the whole app, keyed by exactly the lines that parsed.
+        # One memo for the whole app, keyed by exactly the lines that parsed and
+        # the class descriptors and protos the model holds, each its one object.
         assert len(memos) == len(files) and all(memo is memos[0] for memo in memos)
         memo = memos[0]
         parsed = {files[rel].split("\n")[ins.source_line - 1].strip()
                   for rel, c in zip(sorted(files), alone) for m in c.methods for ins in m.body}
-        assert {key for key in memo if isinstance(key, str)} == parsed
+        shared = model_strings(model)
+        assert {key for key in memo if isinstance(key, str)} == parsed | set(shared)
         assert parsed.isdisjoint(FAILING_LINES)
         assert all(memo[ref] is ref for ref in method_refs(model))
+        assert all(memo[s] is s for s in shared)
+
+    def test_one_string_per_descriptor_and_proto_across_files(self, tmp_path):
+        files = {f"{c.descriptor[1:-1]}.smali": render_class(c)
+                 for c in random_instance(random.Random(5)).app.classes}
+        files.update(noise_classes())
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        model, diags = parse_app_dir(tmp_path, "app")
+        assert diags == [] and len(model.classes) == len(files) >= 4
+        owners = [s for s in model_strings(model) if s.startswith("L")]
+        protos = [s for s in model_strings(model) if s.startswith("(")]
+        for strings in (owners, protos):
+            assert len(strings) > len(set(strings)) > 1
+            assert len({id(s) for s in strings}) == len(set(strings))
