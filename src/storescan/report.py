@@ -285,9 +285,9 @@ def _put_json_app(out: list[str], r: DetectionResult) -> None:
 
 
 def _text_row(category: str, e: Evidence) -> str:
-    # Constants, invoke targets and app ids are escaped as in smali source: none can start a line.
+    # Constants, keywords, invoke targets and app ids are escaped as in smali source: none can start a line.
     if isinstance(e.hit, KeywordHit):
-        hit = f'"{_escape_string(e.hit.value)}" (keyword {e.hit.keyword})'
+        hit = f'"{_escape_string(e.hit.value)}" (keyword {_escape_string(e.hit.keyword)})'
     elif isinstance(e.hit, PathSourceHit):
         hit = _escape_string(e.hit.evidence)
     else:

@@ -63,46 +63,43 @@ class RuleSet(Record):
                  write_sinks: list[tuple[str, str]]):
         self.keywords, self.path_apis = keywords, path_apis
         self.hardcoded_paths, self.write_sinks = hardcoded_paths, write_sinks
-        # A fixed check order gives a ruleset with several faults one stable message.
+        # Sections in file order, each entry in order: of several faults, the first is named.
         for section in self._fields:
             entries = getattr(self, section)
-            if section == "write_sinks":
-                if any(kw != kw.lower() for kw in self.keywords):
-                    raise RuleFormatError("keywords must be lowercase")
-                for kw in self.keywords:
-                    if _TOKEN_SPLIT_RE.search(kw):  # match_keyword splits strings there
-                        raise RuleFormatError(
-                            f"keyword {kw!r} can never match: it contains / \\ . _ - or space")
-                for pair in entries:
-                    if not (isinstance(pair, tuple) and len(pair) == 2
-                            and all(isinstance(part, str) and part for part in pair)):
-                        raise RuleFormatError(f"bad write_sink entry {pair!r}")
-                    # An invoke's owner is a class descriptor without "->".
-                    if not _CLASS_DESC_RE.fullmatch(pair[0]) or "->" in pair[0]:
-                        raise RuleFormatError(
-                            f"write_sink class {pair[0]!r} can never match: expected a descriptor like Lpkg/Cls;")
-                    _check_method_name("write_sink method", pair[1])
-            elif any(not e for e in entries):
+            if section != "write_sinks" and not all(entries):  # a sink entry's parts are checked with it
                 raise RuleFormatError(f"empty entry in {section}")
-            elif section == "path_apis":
-                for name in entries:
-                    _check_method_name("path API", name)
-            elif section == "hardcoded_paths":
-                for p in entries:
-                    if p.endswith("/"):  # MarkMemo appends its own "/"
-                        raise RuleFormatError(
-                            f"hardcoded path {p!r} only matches itself: drop the trailing /")
+            for entry in entries:
+                _check_entry(section, entry)
             if len(set(entries)) != len(entries):
                 raise RuleFormatError(f"duplicate entry in {section}")
 
 
 # An invoke's method name is read as [^\s(]+, and no dex method name holds . ; [ or /.
-_NOT_IN_NAME_RE = re.compile(r"[\s(.;\[/]")
+_METHOD_NAME_RE = re.compile(r"[^\s(.;\[/]+")
 
 
-def _check_method_name(what: str, name: str) -> None:
-    if _NOT_IN_NAME_RE.search(name):
-        raise RuleFormatError(f"{what} {name!r} can never match: a method name holds no whitespace or ( . ; [ /")
+def _check_entry(section: str, entry) -> None:
+    """Raise RuleFormatError for an entry of ``section`` that is malformed or can never match."""
+    if section == "keywords":
+        if entry != entry.lower():
+            raise RuleFormatError("keywords must be lowercase")
+        if _TOKEN_SPLIT_RE.search(entry):  # match_keyword splits strings there
+            raise RuleFormatError(f"keyword {entry!r} can never match: it contains / \\ . _ - or space")
+    elif section == "hardcoded_paths":
+        if entry.endswith("/"):  # MarkMemo appends its own "/"
+            raise RuleFormatError(f"hardcoded path {entry!r} only matches itself: drop the trailing /")
+    else:
+        what, name = "path API", entry
+        if section == "write_sinks":
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and all(isinstance(part, str) and part for part in entry)):
+                raise RuleFormatError(f"bad write_sink entry {entry!r}")
+            if not _CLASS_DESC_RE.fullmatch(entry[0]):  # the parser's grammar; fullmatch, as "$" passes a final \n
+                raise RuleFormatError(
+                    f"write_sink class {entry[0]!r} can never match: expected a descriptor like Lpkg/Cls;")
+            what, name = "write_sink method", entry[1]
+        if not _METHOD_NAME_RE.fullmatch(name):
+            raise RuleFormatError(f"{what} {name!r} can never match: a method name holds no whitespace or ( . ; [ /")
 
 
 def default_ruleset() -> RuleSet:
@@ -210,7 +207,7 @@ def load_ruleset(file: str | os.PathLike) -> RuleSet:
     with open(file, encoding="utf-8-sig") as f:
         text = f.read()
     names = RuleSet._fields
-    sections: dict[str, list[str]] = {}
+    sections: dict[str, list] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
@@ -227,19 +224,14 @@ def load_ruleset(file: str | os.PathLike) -> RuleSet:
             continue
         if current is None:
             raise RuleFormatError(f"line {lineno}: entry before any section header")
+        if current == "write_sinks":
+            cls, sep, method = line.partition("::")
+            if not (cls and sep and method):
+                raise RuleFormatError(f"bad write_sink entry {line!r} (expected Lpkg/Cls;::name)")
+            line = (cls, method)
         sections[current].append(line.lower() if current == "keywords" else line)
-
-    if "write_sinks" in sections:
-        sections["write_sinks"] = [_parse_sink_entry(e) for e in sections["write_sinks"]]
     defaults = default_ruleset()
     return RuleSet(**{name: sections.get(name, getattr(defaults, name)) for name in names})
-
-
-def _parse_sink_entry(entry: str) -> tuple[str, str]:
-    cls, sep, name = entry.partition("::")
-    if not sep or not cls or not name:
-        raise RuleFormatError(f"bad write_sink entry {entry!r} (expected Lpkg/Cls;::name)")
-    return (cls, name)
 
 
 def ruleset_digest(rules: RuleSet) -> str:

@@ -4,9 +4,10 @@ The model holds what the scan reads: each class's descriptor, ``.super``
 and methods, and in each method body its ``invoke-*`` and ``const-string``
 (including ``/jumbo``) lines, in order, each with its line number. The
 ``.class``, ``.super``, ``.method`` and ``.end method`` lines are checked for
-the structure they must have. Everything else is read past: flags, fields,
-annotations, comments and every other instruction, ``new-instance`` among
-them.
+the structure they must have. A class descriptor holds no ``->``, wherever one
+is read: no dex class name holds ``>``. Everything else is read past: flags,
+fields, annotations, comments and every other instruction, ``new-instance``
+among them.
 
 ``parse_app_dir`` gives the files of one app one memo: each distinct
 ``invoke-*`` or ``const-string`` line is matched once per app, and each method
@@ -115,16 +116,17 @@ class AppModel(Record):
         self.app_id, self.classes = app_id, [] if classes is None else classes
 
 
-_CLASS_DESC_RE = re.compile(r"^L[^\s;]+;$")
-# The owner is a class descriptor that does not contain "->": runs of other
-# characters, each "-" not followed by ">". It ends at its first ";", so the
-# match is linear in the line's length.
+# A class descriptor holds no "->": runs of other characters, each "-" not
+# followed by ">". It ends at its first ";", so an invoke's match is linear in
+# the line's length. A method signature is a name, then a proto.
+_OWNER = r"(L(?=[^\s;])[^\s;-]*(?:-(?!>)[^\s;-]*)*;)"
+_SIG = r"([^\s(]+)(\([^)]*\)\S+)$"
+_CLASS_DESC_RE = re.compile(f"^{_OWNER}$")
 _INVOKE_RE = re.compile(
-    r"^invoke-(?:virtual|super|direct|static|interface)(?:/range)?\s+"
-    r"\{[^}]*\}\s*,\s*(L(?=[^\s;])[^\s;-]*(?:-(?!>)[^\s;-]*)*;)->([^\s(]+)(\([^)]*\)\S+)$"
+    r"^invoke-(?:virtual|super|direct|static|interface)(?:/range)?\s+\{[^}]*\}\s*,\s*" + _OWNER + "->" + _SIG
 )
 _CONST_STRING_RE = re.compile(r'^const-string(?:/jumbo)?\s+[vp]\d+\s*,\s*"(.*)"\s*$')
-_METHOD_SIG_RE = re.compile(r"^([^\s(]+)(\([^)]*\)\S+)$")
+_METHOD_SIG_RE = re.compile("^" + _SIG)
 
 #: Smali's one-letter escapes: the letter after the backslash -> its character.
 _UNESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t",

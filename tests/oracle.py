@@ -211,7 +211,7 @@ def text_report_oracle(report: CorpusReport) -> str:
             for category, evidence in f.conditions._asdict().items():
                 for e in evidence:
                     if isinstance(e.hit, KeywordHit):
-                        hit = f'"{_escape_string(e.hit.value)}" (keyword {e.hit.keyword})'
+                        hit = f'"{_escape_string(e.hit.value)}" (keyword {_escape_string(e.hit.keyword)})'
                     elif isinstance(e.hit, PathSourceHit):
                         hit = _escape_string(e.hit.evidence)
                     else:

@@ -805,6 +805,27 @@ class TestEmitReport:
         self.check_no_forged_line(tmp_path, brk, f"\\u{ord(brk):04x}")
 
     @pytest.mark.parametrize("brk", ["\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_text_report_escapes_ruleset_keywords(self, tmp_path, brk):
+        # A keyword from --rules is shown as the constant it matched: it starts no line.
+        keyword = f"log{brk}scanned=9"
+        rules = tmp_path / "r.rules"
+        rules.write_text(f"[keywords]\n{keyword}\n", encoding="utf-8")
+        vuln = class_text("La/A;", methods=[method_text("f", body=[
+            const_string_line(f"/sdcard/{keyword}"), "    invoke-virtual {v0}, Ljava/io/File;->mkdirs()Z"])])
+        (tmp_path / "corpus" / "app").mkdir(parents=True)
+        (tmp_path / "corpus" / "app" / "A.smali").write_text(vuln, encoding="utf-8")
+        text = subprocess.run(
+            [sys.executable, "-m", "storescan", "scan", str(tmp_path / "corpus"), "--rules", str(rules),
+             "--format", "text"],
+            capture_output=True, encoding="utf-8", env=cli_env(), check=True,
+        ).stdout
+        summary, *rows = text.splitlines()
+        assert summary == "scanned=1 flagged=1"
+        heads = ("app ", "  seed ", "    keyword: ", "    path_source: ", "    write_sink: ", "    chain ")
+        assert all(line.startswith(heads) for line in rows)
+        assert f"(keyword log\\u{ord(brk):04x}scanned=9) in La/A;->f()V" in text
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
     def test_text_report_escapes_write_sink_targets(self, tmp_path, brk):
         # An invoke's proto may hold any character but ")", line breaks among them.
         sink = f"Ljava/io/File;->mkdirs({brk}app evil: 9 finding{brk})Z"

@@ -66,15 +66,20 @@ class TestDefaultRuleset:
         with pytest.raises(RuleFormatError, match=r"^bad write_sink entry \('La;', 1\)$"):
             RuleSet([], [], [], [("La;", 1)])
 
-    def test_first_fault_in_section_order_wins(self):
-        # Keywords come before write sinks, so the duplicate keyword is named.
+    def test_first_fault_in_section_order_wins(self, tmp_path):
+        # The sections in file order, each entry in order: the first fault is named.
         with pytest.raises(RuleFormatError, match=r"^duplicate entry in keywords$"):
             RuleSet(["log", "log"], [], [], [("La;", "")])
-        with pytest.raises(RuleFormatError, match=r"^empty entry in path_apis$"):
+        with pytest.raises(RuleFormatError, match=r"^keywords must be lowercase$"):
             RuleSet(["LOG"], [""], [], [])
         with pytest.raises(RuleFormatError, match=r"^keywords must be lowercase$"):
             RuleSet(["LOG"], [], [], [("La;", "")])
-
+        with pytest.raises(RuleFormatError, match=r"^keyword 'my\.log' can never match"):
+            RuleSet(["my.log", "LOG"], [], [], [])
+        f = tmp_path / "rules.txt"
+        f.write_text("[keywords]\nmy.log\n[write_sinks]\njava.io.File::mkdirs\n", encoding="utf-8")
+        with pytest.raises(RuleFormatError, match=r"^keyword 'my\.log' can never match"):
+            load_ruleset(f)
 
     def test_unmatchable_keyword_rejected(self):
         with pytest.raises(RuleFormatError, match=r"^keyword 'my\.log' can never match: it contains "):

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import operator
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from storescan import smali_ir
 from storescan.detector import DetectorConfig
 from storescan.report import scan_corpus
+from storescan.rules import RuleFormatError, RuleSet
 from storescan.smali_ir import (
     AppModel,
     ClassDef,
@@ -278,8 +280,11 @@ class TestParseClass:
             (".class La/B;\n.super NotADescriptor\n", r"^line 2: bad \.super directive$"),
             (".class La/B;\n\n.super La/C; extra\n", r"^line 3: bad \.super directive$"),
             (".class La/B;\n.super La/C;\n.super La/D;\n", r"^line 3: duplicate \.super directive$"),
+            # No dex class name holds ">", and no invoke can target a descriptor holding "->".
+            (".class public La->b;\n", r"^line 1: bad class descriptor 'La->b;'$"),
+            (".class La/B;\n.super La->b;\n", r"^line 2: bad \.super directive$"),
         ],
-        ids=["duplicate-class", "bad-super", "super-extra-token", "duplicate-super"],
+        ids=["duplicate-class", "bad-super", "super-extra-token", "duplicate-super", "arrow-class", "arrow-super"],
     )
     def test_bad_class_header(self, text, message):
         with pytest.raises(SmaliParseError, match=message):
@@ -361,6 +366,45 @@ class TestInvokeGrammar:
         start = time.perf_counter()
         self.parse(tail)
         assert time.perf_counter() - start < 0.1
+
+    @staticmethod
+    def headers_read(s: str) -> list[bool]:
+        """Whether ``.class public <s>`` and ``.super <s>`` each read the descriptor ``s``."""
+        read = []
+        for text, field in ((f".class public {s}\n", "descriptor"), (f".class La;\n.super {s}\n", "super_descriptor")):
+            try:
+                read.append(getattr(parse_class(text), field) == s)
+            except SmaliParseError:
+                read.append(False)
+        return read
+
+    @given(st.text(alphabet="L;->/$ ab", max_size=8))
+    @example("La;")
+    @example("La->b;")
+    @example("L-;")
+    @example("La;->b;")
+    @example("La;\n")  # re's "$" also matches before a final newline
+    def test_one_class_descriptor_grammar(self, s):
+        # .class, .super, an invoke's owner and a write-sink class accept the same descriptors.
+        ins = self.parse(f"{s}->m()V")
+        accepted = isinstance(ins, Invoke) and ins.target.class_descriptor == s
+        assert self.headers_read(s) == [accepted, accepted]
+        with contextlib.nullcontext() if accepted else pytest.raises(RuleFormatError):
+            RuleSet([], [], [], [(s, "m")])
+
+    @given(st.text(alphabet="L;->/$ab()VI", max_size=10))
+    @example("a(I)V")
+    @example("a->b;(V")
+    @example("a)(I)V")
+    def test_one_method_signature_grammar(self, sig):
+        # A .method header and an invoke's "-><name><proto>" split a signature alike.
+        try:
+            (m,) = parse_class(f".class La;\n.method public {sig}\n.end method\n").methods
+            declared = m.key[1:]
+        except SmaliParseError:
+            declared = None
+        ins = self.parse(f"La;->{sig}")
+        assert declared == (ins.target[1:] if ins else None)
 
 
 # Strategies for whole classes, and for the lines and flags the parser reads past:
@@ -529,8 +573,10 @@ class TestParseAppDir:
             (b"\xef\xbb\xbf.class Lx/B;\n\xff\n",
              "unreadable: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
             (None, "unreadable: [Errno 21] Is a directory"),
+            (b".class public La->b;\n", "line 1: bad class descriptor 'La->b;'"),
+            (b".class public Lx/B;\n.super La->b;\n", "line 2: bad .super directive"),
         ],
-        ids=["unterminated-method", "empty", "non-utf8", "bom-non-utf8", "directory"],
+        ids=["unterminated-method", "empty", "non-utf8", "bom-non-utf8", "directory", "arrow-class", "arrow-super"],
     )
     def test_malformed_file_becomes_diagnostic(self, tmp_path, content, message):
         # One bad file costs exactly one diagnostic; its good sibling still parses.
